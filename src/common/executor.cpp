@@ -1,6 +1,9 @@
 #include "common/executor.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <new>
 
 namespace mst {
 
@@ -25,6 +28,12 @@ Executor& Executor::global()
     // machines, so the cross-thread code paths always run.
     static Executor instance(
         std::max(1, static_cast<int>(std::thread::hardware_concurrency()) - 1));
+    // Fork (see the header): the child's pool is rebuilt over the stale
+    // one, never destroyed, as its handles name threads the child lacks.
+    [[maybe_unused]] static const int fork_handler = ::pthread_atfork(nullptr, nullptr, [] {
+        const int workers = instance.worker_target_;
+        new (&instance) Executor(workers);
+    });
     return instance;
 }
 

@@ -15,6 +15,10 @@
 //     from inside a pool task is fine (the task is queued like any
 //     other); *waiting* on a future from inside a pool task is not —
 //     use for_index for nested blocking parallelism.
+//   * Fork: a child forked after the global pool started inherits its
+//     memory but none of its threads, and a lock one of them held stays
+//     held forever. A pthread_atfork handler gives the child a fresh,
+//     unstarted pool instead.
 //   * Determinism: for_index always runs every index exactly once and
 //     writes nothing itself; callers index into pre-sized output slots,
 //     which makes results independent of scheduling. If callbacks throw,

@@ -1,7 +1,9 @@
 #include "common/net.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <system_error>
 
 #include <arpa/inet.h>
@@ -263,21 +265,13 @@ Listener Listener::adopt(int fd)
     if (fd < 0) {
         throw ValidationError("cannot adopt a negative listener fd");
     }
+    const int flags = ::fcntl(fd, F_GETFL);
+    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
+        fail_errno("make adopted listener non-blocking");
+    }
     Listener listener(fd);
     listener.shared_ = true;
     return listener;
-}
-
-int Listener::dup_fd() const
-{
-    if (fd_ < 0) {
-        throw Error("cannot dup an invalid listener");
-    }
-    const int copy = ::fcntl(fd_, F_DUPFD_CLOEXEC, 0);
-    if (copy < 0) {
-        fail_errno("dup listener fd");
-    }
-    return copy;
 }
 
 Endpoint Listener::local_endpoint() const
@@ -356,6 +350,19 @@ void Listener::close() noexcept
         (void)::close(fd_);
         fd_ = -1;
     }
+}
+
+bool write_port_file(const std::string& path, const Endpoint& endpoint)
+{
+    const std::string tmp = path + ".tmp";
+    std::ofstream out(tmp);
+    out << endpoint.to_string() << '\n';
+    out.close();
+    if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        (void)std::remove(tmp.c_str());
+        return false;
+    }
+    return true;
 }
 
 Socket connect(const Endpoint& endpoint, int timeout_ms)

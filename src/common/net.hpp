@@ -134,13 +134,10 @@ public:
     /// it). The underlying open file description is shared with the
     /// parent and sibling workers, so close() on an adopted listener
     /// skips the shutdown() wake — it must not tear down accepts
-    /// pool-wide. Throws ValidationError on a negative fd.
+    /// pool-wide. The description is made non-blocking, so a worker that
+    /// loses an accept race gets EAGAIN instead of blocking in accept,
+    /// where no close() wakes it. Throws ValidationError on a negative fd.
     [[nodiscard]] static Listener adopt(int fd);
-
-    /// Duplicate the listening descriptor (the prefork parent keeps its
-    /// own copy alive for respawns while each worker adopts a dup).
-    /// Throws mst::Error when dup fails or the listener is invalid.
-    [[nodiscard]] int dup_fd() const;
 
     [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
     [[nodiscard]] int fd() const noexcept { return fd_; }
@@ -154,6 +151,11 @@ private:
     int fd_ = -1;
     bool shared_ = false; ///< adopted: the description outlives this copy
 };
+
+/// Write "host:port\n" to `path` through a temp file and a rename, so a
+/// polling reader sees either no file or the complete endpoint, never a
+/// partial write. False (and no file left behind) when it cannot.
+[[nodiscard]] bool write_port_file(const std::string& path, const Endpoint& endpoint);
 
 /// Connect to `endpoint` (test clients; timeout_ms < 0 waits forever).
 /// Throws mst::Error when the connection is refused or times out.

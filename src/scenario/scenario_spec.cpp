@@ -9,6 +9,7 @@
 #include "cli/flags.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
+#include "common/hash.hpp"
 #include "service/protocol.hpp"
 #include "soc/profiles.hpp"
 
@@ -541,16 +542,10 @@ ScenarioSpec load_scenario_spec(const std::string& path)
 
 std::uint64_t scenario_list_fingerprint(const std::vector<Scenario>& scenarios)
 {
-    std::uint64_t hash = 1469598103934665603ull; // FNV-1a 64 offset basis
-    const auto mix = [&hash](const char* data, std::size_t size) {
-        for (std::size_t i = 0; i < size; ++i) {
-            hash ^= static_cast<unsigned char>(data[i]);
-            hash *= 1099511628211ull;
-        }
-    };
+    std::uint64_t hash = kFnvOffsetBasis;
     for (const Scenario& scenario : scenarios) {
-        mix(scenario.name.data(), scenario.name.size());
-        mix("\n", 1);
+        hash = fnv1a64(scenario.name.data(), scenario.name.size(), hash);
+        hash = fnv1a64("\n", 1, hash);
     }
     return hash;
 }

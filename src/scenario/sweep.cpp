@@ -1,10 +1,6 @@
 #include "scenario/sweep.hpp"
 
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -22,6 +18,7 @@
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
 #include "common/signals.hpp"
+#include "common/supervisor.hpp"
 #include "core/optimizer.hpp"
 #include "report/solution_json.hpp"
 #include "scenario/sweep_records.hpp"
@@ -165,40 +162,11 @@ bool run_shard(const std::vector<Scenario>& scenarios, const std::string& out_di
     return true;
 }
 
-/// EINTR-correct waitpid: a stray signal must not make the supervisor
-/// misread a healthy worker as dead.
-pid_t waitpid_retry(pid_t pid, int* status, int flags)
-{
-    for (;;) {
-        const pid_t result = ::waitpid(pid, status, flags);
-        if (result >= 0 || errno != EINTR) {
-            return result;
-        }
-    }
-}
-
-std::uint64_t file_size_of(const std::string& path)
-{
-    struct stat st{};
-    if (::stat(path.c_str(), &st) != 0) {
-        return 0;
-    }
-    return static_cast<std::uint64_t>(st.st_size);
-}
-
-/// Restart backoff for retry `retries`: capped exponential, derived
-/// from the retry count only (deterministic schedule; only the real
-/// elapsed time varies).
-std::chrono::milliseconds backoff_delay(const SweepOptions& options, int retries)
-{
-    if (options.backoff_base_ms <= 0) {
-        return std::chrono::milliseconds(0);
-    }
-    const int shift = std::min(retries, 20);
-    const long long raw = static_cast<long long>(options.backoff_base_ms) << shift;
-    const long long cap = std::max<long long>(options.backoff_cap_ms, options.backoff_base_ms);
-    return std::chrono::milliseconds(std::min(raw, cap));
-}
+/// Supervision state of one pending shard.
+struct ShardState {
+    RestartBudget budget;
+    std::set<std::uint32_t> quarantined{};
+};
 
 std::string fixed_number(double value)
 {
@@ -312,121 +280,86 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
     outcome.scenario_count = scenarios.size();
     outcome.report_path = options.out_dir + "/report.json";
 
+    const auto shard_size = [&](int shard) {
+        return shard_indices(scenarios.size(), shard, shards).size();
+    };
+    // The shard's checkpoint, if it is complete and belongs to this run.
+    const auto valid_checkpoint = [&](int shard) -> std::optional<ShardFile> {
+        std::optional<ShardFile> file = read_shard_file(shard_path(options.out_dir, shard));
+        if (file && checkpoint_matches(*file, shard, shards, spec_fingerprint,
+                                       shard_indices(scenarios.size(), shard, shards))) {
+            return file;
+        }
+        return std::nullopt;
+    };
+
     // Phase 1: classify shards as complete checkpoints or pending work.
     std::vector<int> pending;
     std::vector<bool> resumed(static_cast<std::size_t>(shards), false);
     for (int shard = 0; shard < shards; ++shard) {
-        const std::vector<std::uint32_t> indices =
-            shard_indices(scenarios.size(), shard, shards);
-        const std::string path = shard_path(options.out_dir, shard);
-        const std::optional<ShardFile> existing = read_shard_file(path);
-        if (existing && checkpoint_matches(*existing, shard, shards, spec_fingerprint, indices)) {
+        if (valid_checkpoint(shard)) {
             resumed[static_cast<std::size_t>(shard)] = true;
-            outcome.resumed += indices.size();
+            outcome.resumed += shard_size(shard);
             continue;
         }
-        if (existing) {
-            // Partial or foreign checkpoint: recompute from scratch.
-            std::remove(path.c_str());
-        }
+        // Partial, foreign or missing checkpoint: recompute from scratch.
+        std::remove(shard_path(options.out_dir, shard).c_str());
         pending.push_back(shard);
     }
 
     // Phase 2: execute pending shards — inline with retry/quarantine,
     // or fanned out across supervised forked worker processes (one fork
-    // per shard, at most W in flight). Forking happens before this
-    // process has done any optimizer work, so no half-initialized
-    // executor pool is ever duplicated into a child.
+    // per shard, at most W in flight).
     const int workers = std::min<int>(options.workers, static_cast<int>(pending.size()));
+    const RestartBudget budget(options.max_restarts, options.backoff_base_ms);
+    // One failed execution of `shard` (death, hang, spawn or checkpoint
+    // failure): count it, give up past the hard cap, and after
+    // max_restarts consecutive failures quarantine `poison`, the
+    // scenario in flight.
+    const auto absorb_failure = [&](ShardState& st, int shard,
+                                    std::optional<std::uint32_t> poison, const std::string& what) {
+        ++outcome.worker_failures;
+        const bool quarantine = st.budget.fail();
+        if (st.budget.total_failures() >
+            (options.max_restarts + 1) * static_cast<int>(shard_size(shard) + 1)) {
+            throw ValidationError("sweep shard " + std::to_string(shard) + " keeps failing (" +
+                                  what + "); giving up");
+        }
+        if (quarantine) {
+            if (!poison) {
+                throw ValidationError("sweep shard " + std::to_string(shard) + " failed " +
+                                      std::to_string(options.max_restarts) +
+                                      " times with no scenario in flight (" + what + ")");
+            }
+            st.quarantined.insert(*poison);
+            outcome.quarantined.push_back(*poison);
+        }
+        ++outcome.restarts;
+    };
     if (workers > 1) {
-        struct ShardState {
-            int consecutive_failures = 0;
-            int total_failures = 0;
-            int attempts = 0; ///< worker executions started for this shard
-            std::set<std::uint32_t> quarantined;
-            std::chrono::steady_clock::time_point not_before{};
-        };
-        struct Running {
-            int shard = 0;
-            pid_t pid = -1;
-            std::uint64_t last_size = 0;
-            std::chrono::steady_clock::time_point last_progress{};
-        };
-        std::vector<ShardState> state(static_cast<std::size_t>(shards));
+        std::vector<ShardState> state(static_cast<std::size_t>(shards), ShardState{budget});
         std::deque<int> queue(pending.begin(), pending.end());
-        std::vector<Running> running;
+        Supervisor supervisor("sweep worker for shard",
+                              std::chrono::milliseconds(options.hang_timeout_ms));
 
-        // A worker for `shard` failed (death, hang, spawn failure):
-        // count it, quarantine the scenario in flight after max_restarts
-        // consecutive failures, and requeue the shard behind a capped
-        // exponential backoff derived from the retry count.
-        auto handle_failure = [&](int shard, const char* what) {
-            ShardState& st = state[static_cast<std::size_t>(shard)];
-            ++st.consecutive_failures;
-            ++st.total_failures;
-            ++outcome.worker_failures;
-            const std::size_t shard_size =
-                shard_indices(scenarios.size(), shard, shards).size();
-            if (st.total_failures >
-                (options.max_restarts + 1) * static_cast<int>(shard_size + 1)) {
-                throw ValidationError("sweep shard " + std::to_string(shard) +
-                                      " keeps failing (" + what + "); giving up");
-            }
-            if (st.consecutive_failures >= options.max_restarts) {
-                const std::optional<ShardFile> partial =
-                    read_shard_file(shard_path(options.out_dir, shard));
-                const std::optional<std::uint32_t> poison =
-                    partial ? partial->poison_index() : std::nullopt;
-                if (!poison) {
-                    throw ValidationError("sweep shard " + std::to_string(shard) +
-                                          " failed " + std::to_string(options.max_restarts) +
-                                          " times with no scenario in flight (" + what + ")");
-                }
-                st.quarantined.insert(*poison);
-                outcome.quarantined.push_back(*poison);
-                st.consecutive_failures = 0;
-            }
-            st.not_before = std::chrono::steady_clock::now() +
-                            backoff_delay(options, st.total_failures - 1);
-            ++outcome.restarts;
+        // A failed shard is requeued; its budget gates the respawn. The
+        // poison is the latest heartbeat with no result in its file.
+        auto handle_failure = [&](int shard, const std::string& what) {
+            const std::optional<ShardFile> partial =
+                read_shard_file(shard_path(options.out_dir, shard));
+            absorb_failure(state[static_cast<std::size_t>(shard)], shard,
+                           partial ? partial->poison_index() : std::nullopt, what);
             queue.push_back(shard);
         };
 
-        while (!queue.empty() || !running.empty()) {
+        while (!queue.empty() || supervisor.running() > 0) {
             if (ShutdownLatch::global().requested()) {
-                // Signal-path hardening: forward the shutdown request to
-                // every live worker, reap them EINTR-correctly within a
-                // drain grace, and SIGKILL stragglers — reported via
+                // Forward the shutdown to every live worker; stragglers
+                // past the drain grace are SIGKILLed and reported via
                 // drain_killed so the CLI can exit nonzero. Checkpoints
                 // written so far stay on disk for a later resume.
-                for (const Running& slot : running) {
-                    (void)::kill(slot.pid, SIGTERM);
-                }
-                const auto deadline =
-                    std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(std::max(options.drain_timeout_ms, 0));
-                while (!running.empty() && std::chrono::steady_clock::now() < deadline) {
-                    for (std::size_t i = 0; i < running.size();) {
-                        int status = 0;
-                        if (waitpid_retry(running[i].pid, &status, WNOHANG) ==
-                            running[i].pid) {
-                            running.erase(running.begin() +
-                                          static_cast<std::ptrdiff_t>(i));
-                        } else {
-                            ++i;
-                        }
-                    }
-                    if (!running.empty()) {
-                        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-                    }
-                }
-                for (const Running& slot : running) {
-                    (void)::kill(slot.pid, SIGKILL);
-                    int status = 0;
-                    (void)waitpid_retry(slot.pid, &status, 0);
-                    outcome.drain_killed = true;
-                }
-                running.clear();
+                outcome.drain_killed =
+                    supervisor.drain(std::chrono::milliseconds(options.drain_timeout_ms));
                 outcome.interrupted = true;
                 outcome.executed = 0;
                 outcome.report_path.clear(); // no report was written
@@ -436,103 +369,52 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
             // backoff rotate to the back of the queue.
             bool progressed = false;
             std::size_t examine = queue.size();
-            while (examine-- > 0 && static_cast<int>(running.size()) < workers &&
+            while (examine-- > 0 && static_cast<int>(supervisor.running()) < workers &&
                    !queue.empty()) {
                 const int shard = queue.front();
                 queue.pop_front();
                 ShardState& st = state[static_cast<std::size_t>(shard)];
-                if (st.not_before > std::chrono::steady_clock::now()) {
+                if (!st.budget.ready()) {
                     queue.push_back(shard);
                     continue;
                 }
-                if (MST_FAULTPOINT("sweep.worker_spawn") != std::errc{}) {
-                    handle_failure(shard, "injected spawn fault");
+                // The child runs exactly one shard. Progress is "the
+                // shard file grew": every scenario writes at least a
+                // heartbeat first, so a wedged optimize call stops the
+                // growth and the watchdog kills the worker.
+                const std::string path = shard_path(options.out_dir, shard);
+                const auto body = [&, shard] {
+                    std::size_t written = 0;
+                    run_shard(scenarios, options.out_dir, shard, shards, spec_fingerprint,
+                              options.threads, static_cast<std::uint32_t>(fault::attempt()),
+                              st.quarantined, 0, written);
+                    return 0;
+                };
+                const auto shard_file_size = [path]() -> std::uint64_t {
+                    struct stat info{};
+                    return ::stat(path.c_str(), &info) == 0 ? info.st_size : 0;
+                };
+                if (MST_FAULTPOINT("sweep.worker_spawn") != std::errc{} ||
+                    supervisor.spawn(shard, body, shard_file_size) < 0) {
+                    handle_failure(shard, "worker spawn failed");
                     continue;
                 }
-                const pid_t pid = ::fork();
-                if (pid < 0) {
-                    handle_failure(shard, "fork failed");
-                    continue;
-                }
-                if (pid == 0) {
-                    // Child: run exactly one shard and _exit (never
-                    // flush the parent's inherited stdio buffers). The
-                    // attempt number feeds heartbeats and the fault
-                    // layer's *R gating, so injected crash rules stop
-                    // firing on the restarted attempt.
-                    fault::set_attempt(st.attempts);
-                    int status_code = 0;
-                    try {
-                        std::size_t written = 0;
-                        run_shard(scenarios, options.out_dir, shard, shards, spec_fingerprint,
-                                  options.threads, static_cast<std::uint32_t>(st.attempts),
-                                  st.quarantined, 0, written);
-                    } catch (const std::exception& error) {
-                        std::fprintf(stderr, "sweep worker (shard %d): %s\n", shard,
-                                     error.what());
-                        status_code = 1;
-                    } catch (...) {
-                        status_code = 1;
-                    }
-                    ::_exit(status_code);
-                }
-                ++st.attempts;
-                Running slot;
-                slot.shard = shard;
-                slot.pid = pid;
-                slot.last_size = file_size_of(shard_path(options.out_dir, shard));
-                slot.last_progress = std::chrono::steady_clock::now();
-                running.push_back(slot);
                 progressed = true;
             }
 
-            // Reap finished workers; watchdog the rest. Progress is
-            // "the shard file grew" — every scenario writes at least a
-            // heartbeat first, so a wedged optimize call stops the
-            // growth and gets its worker SIGKILLed.
-            for (std::size_t i = 0; i < running.size();) {
-                Running& slot = running[i];
-                int status = 0;
-                const pid_t reaped = waitpid_retry(slot.pid, &status, WNOHANG);
-                if (reaped == 0) {
-                    const std::uint64_t size =
-                        file_size_of(shard_path(options.out_dir, slot.shard));
-                    if (size > slot.last_size) {
-                        slot.last_size = size;
-                        slot.last_progress = std::chrono::steady_clock::now();
-                    } else if (options.hang_timeout_ms > 0 &&
-                               std::chrono::steady_clock::now() - slot.last_progress >
-                                   std::chrono::milliseconds(options.hang_timeout_ms)) {
-                        ::kill(slot.pid, SIGKILL);
-                        waitpid_retry(slot.pid, &status, 0);
-                        const int shard = slot.shard;
-                        running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-                        handle_failure(shard, "hung worker killed by watchdog");
-                        progressed = true;
-                        continue;
-                    }
-                    ++i;
-                    continue;
-                }
-                const int shard = slot.shard;
-                const pid_t pid = slot.pid;
-                running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+            for (const Supervisor::Exit& exit : supervisor.reap()) {
                 progressed = true;
-                if (reaped == pid && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-                    // Exit 0 still only counts if the checkpoint it left
-                    // behind validates end to end.
-                    const std::optional<ShardFile> file =
-                        read_shard_file(shard_path(options.out_dir, shard));
-                    if (file &&
-                        checkpoint_matches(*file, shard, shards, spec_fingerprint,
-                                           shard_indices(scenarios.size(), shard, shards))) {
-                        state[static_cast<std::size_t>(shard)].consecutive_failures = 0;
-                        continue;
-                    }
-                    handle_failure(shard, "worker left an invalid checkpoint");
+                if (exit.kind != Supervisor::ExitKind::clean) {
+                    handle_failure(exit.key, std::string("worker ") + describe(exit.kind));
                     continue;
                 }
-                handle_failure(shard, "worker died");
+                // Exit 0 still only counts if the checkpoint it left
+                // behind validates end to end.
+                if (valid_checkpoint(exit.key)) {
+                    state[static_cast<std::size_t>(exit.key)].budget.succeed();
+                    continue;
+                }
+                handle_failure(exit.key, "worker left an invalid checkpoint");
             }
             if (!progressed) {
                 std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -542,54 +424,31 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
         // Inline execution gets the same retry/quarantine treatment for
         // checkpoint-layer failures (the scenario layer already maps its
         // own exceptions into typed error records).
+        struct AttemptReset {
+            ~AttemptReset() { fault::set_attempt(0); }
+        } const attempt_reset;
         std::size_t written = 0;
         for (const int shard : pending) {
-            int consecutive = 0;
-            int total = 0;
-            int attempts = 0;
-            std::set<std::uint32_t> quarantined;
-            const std::size_t shard_size =
-                shard_indices(scenarios.size(), shard, shards).size();
-            for (;;) {
+            ShardState st{budget};
+            for (int attempt = 0;; ++attempt) {
                 std::optional<std::uint32_t> current;
+                fault::set_attempt(attempt);
                 try {
-                    fault::set_attempt(attempts);
-                    const bool finished = run_shard(
-                        scenarios, options.out_dir, shard, shards, spec_fingerprint,
-                        options.threads, static_cast<std::uint32_t>(attempts), quarantined,
-                        options.abort_after_records, written, &current);
-                    ++attempts;
-                    if (!finished) {
-                        fault::set_attempt(0);
+                    if (!run_shard(scenarios, options.out_dir, shard, shards, spec_fingerprint,
+                                   options.threads, static_cast<std::uint32_t>(attempt),
+                                   st.quarantined, options.abort_after_records, written,
+                                   &current)) {
                         outcome.aborted = true;
                         outcome.executed = written;
                         return outcome;
                     }
                     break;
-                } catch (const Error&) {
-                    ++attempts;
-                    ++consecutive;
-                    ++total;
-                    ++outcome.worker_failures;
-                    if (total > (options.max_restarts + 1) * static_cast<int>(shard_size + 1)) {
-                        fault::set_attempt(0);
-                        throw;
-                    }
-                    if (consecutive >= options.max_restarts) {
-                        if (!current) {
-                            fault::set_attempt(0);
-                            throw;
-                        }
-                        quarantined.insert(*current);
-                        outcome.quarantined.push_back(*current);
-                        consecutive = 0;
-                    }
-                    ++outcome.restarts;
-                    std::this_thread::sleep_for(backoff_delay(options, total - 1));
+                } catch (const Error& error) {
+                    absorb_failure(st, shard, current, error.what());
+                    std::this_thread::sleep_for(st.budget.backoff());
                 }
             }
         }
-        fault::set_attempt(0);
     }
     std::sort(outcome.quarantined.begin(), outcome.quarantined.end());
 
@@ -599,13 +458,10 @@ SweepOutcome run_sweep(const std::string& sweep_name, const std::vector<Scenario
     std::vector<SweepRecord> by_index(scenarios.size());
     std::vector<bool> seen(scenarios.size(), false);
     for (int shard = 0; shard < shards; ++shard) {
-        const std::string path = shard_path(options.out_dir, shard);
-        const std::optional<ShardFile> file = read_shard_file(path);
-        const std::vector<std::uint32_t> indices =
-            shard_indices(scenarios.size(), shard, shards);
-        if (!file || !checkpoint_matches(*file, shard, shards, spec_fingerprint, indices)) {
+        const std::optional<ShardFile> file = valid_checkpoint(shard);
+        if (!file) {
             throw ValidationError("sweep shard file missing or invalid after execution: " +
-                                  path);
+                                  shard_path(options.out_dir, shard));
         }
         ShardTiming timing;
         timing.shard = shard;

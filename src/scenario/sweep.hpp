@@ -49,9 +49,7 @@ struct SweepOptions {
     std::string out_dir;
     int shards = 8;
     /// Worker processes. 1 runs everything inline in the calling
-    /// process; W > 1 forks W children. Fork happens before the parent
-    /// does any optimizer work, so the lazily-started executor pool is
-    /// never cloned into a child.
+    /// process; W > 1 forks W children.
     int workers = 1;
     /// Intra-scenario optimizer threads (OptimizeOptions::threads);
     /// 0 = hardware concurrency.
@@ -68,9 +66,8 @@ struct SweepOptions {
     /// is quarantined as a worker_crash record.
     int max_restarts = 3;
     /// Restart backoff for retry k is min(backoff_base_ms << k,
-    /// backoff_cap_ms) milliseconds. 0 disables sleeping (tests, CI).
+    /// kBackoffCapMs) milliseconds. 0 disables sleeping (tests, CI).
     int backoff_base_ms = 100;
-    int backoff_cap_ms = 2000;
     /// A supervised worker whose shard file has not grown for this long
     /// is declared hung and SIGKILLed (counts as a crash). 0 disables
     /// the watchdog.

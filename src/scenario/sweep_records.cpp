@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
+#include "common/hash.hpp"
 
 namespace mst {
 
@@ -20,17 +21,6 @@ constexpr std::uint8_t kStatusError = 0;
 constexpr std::uint8_t kStatusOk = 1;
 constexpr std::uint8_t kStatusHeartbeat = 2;
 constexpr char kTrailerMagic[8] = {'M', 'S', 'T', 'S', 'W', 'P', 'O', 'K'};
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_mix(std::uint64_t& hash, const unsigned char* bytes, std::size_t count) noexcept
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        hash ^= bytes[i];
-        hash *= kFnvPrime;
-    }
-}
 
 /// Serializes integers explicitly little-endian so shard files written
 /// on any host decode identically.
@@ -226,7 +216,7 @@ struct ShardWriter::Impl {
     std::FILE* file = nullptr;
     std::uint32_t expected = 0;
     std::uint32_t written = 0;
-    std::uint64_t checksum = kFnvOffset;
+    std::uint64_t checksum = kFnvOffsetBasis;
     bool finished = false;
     ByteBuffer scratch;
 
@@ -284,7 +274,7 @@ void ShardWriter::write(const SweepRecord& record)
     // disk (the file is still incomplete without a trailer, but cheap
     // to diagnose and safe to discard).
     std::fflush(impl_->file);
-    fnv_mix(impl_->checksum, buffer.data(), buffer.size());
+    impl_->checksum = fnv1a64(buffer.data(), buffer.size(), impl_->checksum);
     ++impl_->written;
 }
 
@@ -297,7 +287,7 @@ void ShardWriter::heartbeat(std::uint32_t index, std::uint32_t attempt)
     buffer.u32(attempt);
     impl_->put(buffer);
     std::fflush(impl_->file);
-    fnv_mix(impl_->checksum, buffer.data(), buffer.size());
+    impl_->checksum = fnv1a64(buffer.data(), buffer.size(), impl_->checksum);
 }
 
 void ShardWriter::finish()
@@ -365,7 +355,7 @@ std::optional<ShardFile> read_shard_file(const std::string& path)
         return std::nullopt;
     }
 
-    std::uint64_t checksum = kFnvOffset;
+    std::uint64_t checksum = kFnvOffsetBasis;
     shard.records.reserve(shard.expected_records);
     while (shard.records.size() < shard.expected_records) {
         const std::size_t start = reader.position();
@@ -379,7 +369,7 @@ std::optional<ShardFile> read_shard_file(const std::string& path)
             if (!reader.ok()) {
                 return shard;
             }
-            fnv_mix(checksum, reader.at(start), reader.position() - start);
+            checksum = fnv1a64(reader.at(start), reader.position() - start, checksum);
             shard.heartbeats.push_back(beat);
             continue;
         }
@@ -408,7 +398,7 @@ std::optional<ShardFile> read_shard_file(const std::string& path)
             // parsed, but without a trailer the file stays incomplete.
             return shard;
         }
-        fnv_mix(checksum, reader.at(start), reader.position() - start);
+        checksum = fnv1a64(reader.at(start), reader.position() - start, checksum);
         shard.records.push_back(std::move(record));
     }
 

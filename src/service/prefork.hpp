@@ -2,9 +2,9 @@
 //
 // The parent binds the listening socket once, creates (or degrades
 // without) the shared-memory segment, and forks N workers that each run
-// a full Server on a dup of the inherited listener fd — the kernel
-// balances accepts across them. The parent never serves requests; it
-// supervises:
+// a full Server on the inherited listener fd — the kernel balances
+// accepts across them. The parent never serves requests; it supervises
+// them through common/supervisor.hpp:
 //
 //   * a worker death (crash, OOM kill, injected fault) is detected by
 //     waitpid and answered with a respawn on a capped exponential
@@ -45,8 +45,7 @@ struct PreforkOptions {
     /// Written (atomically, tmp+rename) once every worker is ready.
     std::string port_file;
     int max_restarts = 5;    ///< consecutive failures before quarantine
-    int backoff_ms = 50;     ///< respawn backoff: min(base << k, cap)
-    int backoff_cap_ms = 2000;
+    int backoff_ms = 50;     ///< respawn backoff: min(base << k, kBackoffCapMs)
     /// SIGKILL a worker whose slot heartbeat stalls this long (0 = off;
     /// requires the shared segment).
     int heartbeat_timeout_ms = 30000;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/hash.hpp"
 #include "soc/writer.hpp"
 
 namespace mst {
@@ -12,12 +13,7 @@ std::uint64_t soc_fingerprint(const Soc& soc)
     // content (parse(write(soc)) == soc, see soc/writer.hpp), so hashing
     // it fingerprints exactly what the optimizer consumes.
     const std::string text = soc_to_string(soc);
-    std::uint64_t hash = 1469598103934665603ULL; // FNV offset basis
-    for (const char ch : text) {
-        hash ^= static_cast<unsigned char>(ch);
-        hash *= 1099511628211ULL; // FNV prime
-    }
-    return hash;
+    return fnv1a64(text.data(), text.size());
 }
 
 std::string fingerprint_hex(std::uint64_t fingerprint)

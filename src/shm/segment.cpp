@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
+#include "common/hash.hpp"
 
 namespace mst::shm {
 
@@ -105,17 +106,6 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
 namespace {
 constexpr std::uint64_t kSlotsOffset = 512;
 } // namespace
-
-std::uint64_t Segment::fnv1a(const void* data, std::size_t size) noexcept
-{
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    std::uint64_t hash = 1469598103934665603ULL; // FNV offset basis
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ULL; // FNV prime
-    }
-    return hash;
-}
 
 Segment::Segment(std::string name, void* base, std::size_t bytes, bool created)
     : name_(std::move(name)), base_(base), bytes_(bytes), created_(created)
@@ -374,7 +364,7 @@ Segment::PublishResult Segment::publish(std::uint64_t key, Kind kind, const void
     header.key = key;
     header.kind = static_cast<std::uint32_t>(kind);
     header.payload_bytes = size;
-    header.checksum = fnv1a(data, size);
+    header.checksum = fnv1a64(data, size);
     std::memcpy(dst, &header, sizeof header);
     std::memcpy(dst + sizeof header, data, size);
 
@@ -445,7 +435,7 @@ std::optional<std::string> Segment::lookup(std::uint64_t key, Kind kind,
         return std::nullopt; // index hash collision or corrupt entry
     }
     const char* payload = arena() + offset + sizeof(EntryHeader);
-    std::uint64_t checksum = fnv1a(payload, static_cast<std::size_t>(header.payload_bytes));
+    std::uint64_t checksum = fnv1a64(payload, static_cast<std::size_t>(header.payload_bytes));
     if (MST_FAULTPOINT("shm.checksum") != std::errc{}) {
         checksum = ~checksum; // injected corruption: must fall back cleanly
     }

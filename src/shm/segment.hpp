@@ -161,10 +161,6 @@ public:
     void add_pool_quarantine();
     [[nodiscard]] PoolMeta pool_meta() const;
 
-    /// FNV-1a 64 over a byte range (entry checksums and memo-key hashes
-    /// use the same function as the repo's other fingerprints).
-    [[nodiscard]] static std::uint64_t fnv1a(const void* data, std::size_t size) noexcept;
-
 private:
     struct Superblock;
     struct WorkerSlot;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "service/service.hpp"
 #include "soc/soc.hpp"
 
@@ -256,7 +257,7 @@ std::shared_ptr<SolutionOutcome> ShmStore::load_outcome(const std::string& memo_
     if (segment_ == nullptr) {
         return nullptr;
     }
-    const std::uint64_t key = Segment::fnv1a(memo_key.data(), memo_key.size());
+    const std::uint64_t key = fnv1a64(memo_key.data(), memo_key.size());
     bool checksum_failed = false;
     const std::optional<std::string> blob =
         segment_->lookup(key, Segment::Kind::outcome, &checksum_failed);
@@ -288,7 +289,7 @@ void ShmStore::publish_outcome(const std::string& memo_key, const SolutionOutcom
     if (segment_ == nullptr) {
         return;
     }
-    const std::uint64_t key = Segment::fnv1a(memo_key.data(), memo_key.size());
+    const std::uint64_t key = fnv1a64(memo_key.data(), memo_key.size());
     const std::string blob = encode_outcome(memo_key, outcome);
     if (segment_->publish(key, Segment::Kind::outcome, blob.data(), blob.size()) ==
         Segment::PublishResult::published) {

@@ -1,13 +1,12 @@
 // Integration tests for the supervised prefork pool (service/prefork):
 // readiness-gated port files, byte-identical replay through the pool,
-// worker-death restarts, shm-writer crash recovery, and degraded mode.
+// worker-death restarts, shm-writer crash recovery, degraded mode, and
+// a prompt drain after many short connections.
 //
-// IMPORTANT: no test in this binary may run optimizer work in the
-// parent (gtest) process before run_prefork forks its workers — the
-// global executor's lazily-started thread pool does not survive fork,
-// and a worker inheriting a started pool would hang on its first
-// request. Expected responses therefore come from the committed golden
-// file, never from an in-process RequestService.
+// Expected responses come from the committed golden file, never from
+// an in-process RequestService, so the pool is checked against an
+// independent reference. (A worker forked after the parent started the
+// global executor gets a fresh pool; see common/executor.hpp.)
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -458,6 +457,43 @@ TEST(Prefork, DegradedSegmentStillServesLocalOnly)
     EXPECT_EQ(health.find("health")->find("shm")->as_string(), "off");
 
     EXPECT_EQ(run.shutdown(), 0);
+}
+
+TEST(Prefork, ManyShortConnectionsThenSigtermDrainsPromptly)
+{
+    // Every worker's poll wakes for each arriving connection; the ones
+    // that lose the accept race must go back to polling instead of
+    // blocking in accept, or they never notice the drain and the
+    // supervisor has to SIGKILL them when drain_timeout_ms runs out.
+    const TempDir dir;
+    PreforkOptions options;
+    options.processes = 4;
+    options.shm_name = unique_shm_name("drain");
+    options.port_file = dir.port_file();
+    PoolRun run(options);
+    const net::Endpoint endpoint = wait_for_port(dir.port_file());
+
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+        clients.emplace_back([&endpoint] {
+            for (int i = 0; i < 25; ++i) {
+                const JsonValue health = ask(endpoint, R"({"id":"h","op":"health"})");
+                EXPECT_TRUE(health.find("ok")->as_bool());
+            }
+        });
+    }
+    for (std::thread& client : clients) {
+        client.join();
+    }
+
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(::kill(::getpid(), SIGTERM), 0); // the latch's handler takes it
+    run.thread.join();
+    const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+    EXPECT_EQ(run.rc, 0);
+    EXPECT_LT(elapsed_ms, options.drain_timeout_ms / 5);
 }
 
 } // namespace
