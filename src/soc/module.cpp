@@ -1,6 +1,7 @@
 #include "soc/module.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -34,7 +35,15 @@ Module::Module(std::string name,
     if (bad_chain) {
         throw ValidationError("module '" + name_ + "' has a scan chain of non-positive length");
     }
-    if (inputs_ + outputs_ + bidirs_ == 0 && scan_chain_lengths_.empty()) {
+    // Cells per side and max_useful_width() are ints: reject counts whose
+    // sums would overflow them.
+    const std::int64_t widest = std::int64_t{std::max(inputs_, outputs_)} + bidirs_ +
+                                static_cast<std::int64_t>(scan_chain_lengths_.size());
+    if (widest > std::numeric_limits<int>::max()) {
+        throw ValidationError("module '" + name_ + "' has more terminals and scan chains than " +
+                              std::to_string(std::numeric_limits<int>::max()));
+    }
+    if (inputs_ == 0 && outputs_ == 0 && bidirs_ == 0 && scan_chain_lengths_.empty()) {
         throw ValidationError("module '" + name_ + "' has neither terminals nor scan chains");
     }
 }

@@ -8,6 +8,10 @@
 //   module <name> inputs <n> outputs <n> bidirs <n> patterns <n> [scan <l1> <l2> ...]
 //   end            # required terminator (guards against truncated files)
 //
+// Tokens are separated by spaces, tabs, '\r', '\v' or '\f'. Every <n> and
+// <l> is a non-negative decimal integer (a leading '+' is allowed) that
+// fits in int64; inputs, outputs and bidirs must also fit in an int.
+//
 // Example:
 //
 //   soc d695

@@ -7,9 +7,13 @@
 // every call. Only three numbers per width survive into the time
 // formula: the LPT maximum aggregate scan length and the two water-fill
 // maxima — and the water-fill maxima have closed forms. The calculator
-// sorts the chains once per module and evaluates each width with a
-// loads-only LPT heap, producing test times byte-identical to
-// design_wrapper (asserted exhaustively by tests/wrapper_time_test.cpp).
+// sorts the chains once per module. A width runs the loads-only LPT heap
+// only when it has fewer wrapper chains than scan chains and a cheap
+// upper bound on the LPT maximum exceeds one of the two waterlines (the
+// ceiling of the average load with each side's cells); otherwise the
+// scan maximum cannot change the time and is never computed. Test
+// times are byte-identical to design_wrapper (asserted exhaustively by
+// tests/wrapper_time_test.cpp).
 #pragma once
 
 #include <vector>

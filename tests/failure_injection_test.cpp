@@ -33,6 +33,41 @@ TEST(FailureInjection, HugeNumbersOverflowGracefully)
         ParseError);
 }
 
+TEST(FailureInjection, TerminalCountsPastIntMaxAreRejected)
+{
+    // Terminal counts are stored as int: 2^32 + 1 must not wrap to 1.
+    for (const std::string field : {"inputs", "outputs", "bidirs"}) {
+        std::string text = "soc x\nmodule m inputs 1 outputs 1 bidirs 0 patterns 1\nend\n";
+        text.replace(text.find(field + " ") + field.size() + 1, 1, "4294967297");
+        try {
+            (void)parse_soc_string(text, "big.soc");
+            FAIL() << "expected ParseError for " << field;
+        } catch (const ParseError& error) {
+            EXPECT_EQ(error.line(), 2);
+            EXPECT_EQ(std::string(error.what()),
+                      "big.soc:2: '" + field + "' must be at most 2147483647, got '4294967297'");
+        }
+    }
+    // INT_MAX itself still parses, but not when a derived width (cells
+    // per side plus scan chains) would pass it.
+    const Soc soc = parse_soc_string(
+        "soc x\nmodule m inputs 2147483647 outputs 1 patterns 1\nend\n");
+    EXPECT_EQ(soc.module(0).inputs(), 2147483647);
+    EXPECT_EQ(soc.module(0).max_useful_width(), 2147483647);
+    for (const std::string extra : {"bidirs 1", "scan 5"}) {
+        const std::string text =
+            "soc x\nmodule m inputs 1 outputs 2147483647 patterns 1 " + extra + "\nend\n";
+        try {
+            (void)parse_soc_string(text, "wide.soc");
+            FAIL() << "expected ParseError for " << extra;
+        } catch (const ParseError& error) {
+            EXPECT_EQ(std::string(error.what()),
+                      "wide.soc:2: module 'm' has more terminals and scan chains than "
+                      "2147483647");
+        }
+    }
+}
+
 TEST(FailureInjection, NegativeScanChain)
 {
     EXPECT_THROW(

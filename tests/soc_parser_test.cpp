@@ -162,6 +162,82 @@ TEST(SocParser, RejectsDuplicateModules)
                  ParseError);
 }
 
+/// The full ParseError text for `text`, or "" when it parses.
+std::string parse_error_of(const std::string& text)
+{
+    try {
+        (void)parse_soc_string(text, "t.soc");
+    } catch (const ParseError& error) {
+        return error.what();
+    }
+    return "";
+}
+
+std::string with_patterns(const std::string& token)
+{
+    return "soc x\nmodule m inputs 1 outputs 1 patterns " + token + "\nend\n";
+}
+
+TEST(SocParser, AcceptsSignedIntegerTokens)
+{
+    // The integer rule is a full-consumption std::stoll: an optional sign,
+    // a leading '+' included, then decimal digits only.
+    EXPECT_EQ(parse_soc_string(with_patterns("+5")).module(0).patterns(), 5);
+    EXPECT_EQ(parse_soc_string(with_patterns("007")).module(0).patterns(), 7);
+    const Soc soc = parse_soc_string(
+        "soc x\nmodule m inputs +2 outputs 1 bidirs -0 patterns 1 scan +4\nend\n");
+    EXPECT_EQ(soc.module(0).inputs(), 2);
+    EXPECT_EQ(soc.module(0).bidirs(), 0);
+    ASSERT_EQ(soc.module(0).scan_chain_count(), 1);
+    EXPECT_EQ(soc.module(0).scan_chain_lengths()[0], 4);
+}
+
+TEST(SocParser, RejectsMalformedIntegerTokensWithExactMessages)
+{
+    for (const std::string token : {"12x", "0x10", "1e3", "+", "-", "+-5", "++5", "--5", " 5x",
+                                    "9223372036854775808", "-9223372036854775809"}) {
+        const std::string trimmed = token.substr(token.find_first_not_of(' '));
+        EXPECT_EQ(parse_error_of(with_patterns(token)),
+                  "t.soc:2: expected an integer for 'patterns', got '" + trimmed + "'")
+            << token;
+    }
+    EXPECT_EQ(parse_error_of(with_patterns("-9223372036854775808")),
+              "t.soc:2: expected a non-negative integer for 'patterns', got "
+              "'-9223372036854775808'");
+    EXPECT_EQ(parse_error_of("soc x\nmodule m inputs 1 outputs 1 patterns 1 scan 3 4x\nend\n"),
+              "t.soc:2: expected an integer for 'scan chain length', got '4x'");
+    // An unknown field's value is checked before the field name.
+    EXPECT_EQ(parse_error_of("soc x\nmodule m pins 4x inputs 1 outputs 1 patterns 1\nend\n"),
+              "t.soc:2: expected an integer for 'pins', got '4x'");
+    EXPECT_EQ(parse_error_of("soc x\nmodule m pins 4 inputs 1 outputs 1 patterns 1\nend\n"),
+              "t.soc:2: unknown module field 'pins'");
+}
+
+TEST(SocParser, CommentEndsTheTokenAndTheLine)
+{
+    // '#' inside a token ends it: "5#x" reads as 5 and drops the rest of
+    // the line, so fields after it are missing.
+    EXPECT_EQ(parse_soc_string(with_patterns("5#x")).module(0).patterns(), 5);
+    EXPECT_EQ(parse_error_of("soc x\nmodule m inputs 5#x outputs 1 patterns 1\nend\n"),
+              "t.soc:2: module 'm' must define inputs, outputs, and patterns");
+}
+
+TEST(SocParser, TabsAndCarriageReturnsSeparateTokens)
+{
+    const Soc soc = parse_soc_string(
+        "soc\tx\r\nmodule\tm\tinputs 3\voutputs\f2 patterns 1\tscan 4\t5\r\n\r\nend\r\n");
+    EXPECT_EQ(soc.name(), "x");
+    EXPECT_EQ(soc.module(0).inputs(), 3);
+    EXPECT_EQ(soc.module(0).outputs(), 2);
+    EXPECT_EQ(soc.module(0).scan_chain_count(), 2);
+    // Line numbers count '\n' only, whatever ends the line.
+    EXPECT_EQ(parse_error_of("soc x\r\n\r\nbogus\r\n"), "t.soc:3: unknown statement 'bogus'");
+    EXPECT_EQ(parse_error_of("soc x\nmodule m inputs 1 outputs 1 patterns 1"),
+              "t.soc:2: missing 'end' statement (truncated file?)");
+    EXPECT_EQ(parse_error_of("soc x\n\n"), "t.soc:2: missing 'end' statement (truncated file?)");
+    EXPECT_EQ(parse_error_of(""), "t.soc:0: missing 'soc' statement");
+}
+
 TEST(SocWriter, RoundTripsD695)
 {
     const Soc original = make_d695();

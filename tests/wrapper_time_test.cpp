@@ -3,7 +3,10 @@
 // byte-identical to the full design_wrapper reference at every width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "arch/channel_group.hpp"
 #include "common/error.hpp"
@@ -16,6 +19,59 @@
 
 namespace mst {
 namespace {
+
+/// Which waterlines reach the calculator's upper bound on the LPT scan
+/// maximum at `width` (recomputed here from the module, independently of
+/// the calculator): LPT is skipped exactly when both do.
+struct SkipRegime {
+    bool in_covers = false;
+    bool out_covers = false;
+};
+
+SkipRegime skip_regime(const Module& module, WireCount width)
+{
+    std::vector<FlipFlopCount> lengths = module.scan_chain_lengths();
+    std::sort(lengths.begin(), lengths.end(), std::greater<FlipFlopCount>());
+    const FlipFlopCount total = module.total_scan_flip_flops();
+    FlipFlopCount bound = lengths.empty() ? 0 : lengths.front();
+    if (static_cast<std::size_t>(width) < lengths.size()) {
+        bound = std::max(bound, (total - lengths.back()) / width +
+                                    lengths[static_cast<std::size_t>(width)]);
+    }
+    const auto waterline = [&](int cells) { return (total + cells + width - 1) / width; };
+    return {waterline(module.scan_in_cells()) >= bound,
+            waterline(module.scan_out_cells()) >= bound};
+}
+
+/// Widths in 1..max useful width at which `module` is in the given regime.
+std::vector<WireCount> widths_in_regime(const Module& module, bool in_covers, bool out_covers)
+{
+    std::vector<WireCount> widths;
+    for (WireCount w = 1; w <= std::min(module.max_useful_width(), width_cap); ++w) {
+        const SkipRegime regime = skip_regime(module, w);
+        if (regime.in_covers == in_covers && regime.out_covers == out_covers) {
+            widths.push_back(w);
+        }
+    }
+    return widths;
+}
+
+void expect_tables_equal(const Module& module)
+{
+    const ModuleTimeTable fast(module, 0, TableBuild::fast);
+    const ModuleTimeTable reference(module, 0, TableBuild::reference);
+    ASSERT_EQ(fast.max_width(), reference.max_width()) << module.name();
+    for (WireCount w = 1; w <= fast.max_width(); ++w) {
+        ASSERT_EQ(fast.time(w), reference.time(w)) << module.name() << " width " << w;
+        ASSERT_EQ(fast.used_width(w), reference.used_width(w)) << module.name() << " width " << w;
+    }
+    EXPECT_EQ(fast.min_area(), reference.min_area()) << module.name();
+    ASSERT_EQ(fast.pareto().size(), reference.pareto().size()) << module.name();
+    for (std::size_t i = 0; i < fast.pareto().size(); ++i) {
+        EXPECT_EQ(fast.pareto()[i].width, reference.pareto()[i].width);
+        EXPECT_EQ(fast.pareto()[i].test_time, reference.pareto()[i].test_time);
+    }
+}
 
 void expect_calculator_matches_reference(const Module& module)
 {
@@ -67,24 +123,69 @@ TEST(WrapperTimeCalculator, HandlesDegenerateModules)
     EXPECT_THROW((void)WrapperTimeCalculator(combinational).time(0), ValidationError);
 }
 
+TEST(WrapperTimeCalculator, MatchesDesignWrapperOnWideShallowSoc)
+{
+    // The shape of the gen*-wide scale scenarios: many modules with wide
+    // functional interfaces over short chains, where the waterlines
+    // usually cover the LPT bound and the scan maximum is never computed.
+    const Soc soc = generate_soc(scaled_benchmark_config("wide", 200, ScaledShape::wide_shallow));
+    int skipped = 0;
+    int scheduled = 0;
+    for (const Module& module : soc.modules()) {
+        expect_calculator_matches_reference(module);
+        skipped += static_cast<int>(widths_in_regime(module, true, true).size());
+        scheduled += static_cast<int>(widths_in_regime(module, true, false).size() +
+                                      widths_in_regime(module, false, true).size() +
+                                      widths_in_regime(module, false, false).size());
+    }
+    EXPECT_GT(skipped, 0);
+    EXPECT_GT(scheduled, 0);
+}
+
+TEST(WrapperTimeCalculator, MatchesDesignWrapperInEveryBoundRegime)
+{
+    // Wide inputs, no outputs: only the scan-in waterline covers the bound.
+    const Module in_only("in_only", 100, 0, 0, 9, {10, 10, 10, 10});
+    EXPECT_FALSE(widths_in_regime(in_only, true, false).empty());
+    expect_calculator_matches_reference(in_only);
+
+    // The mirror image: only the scan-out waterline covers the bound.
+    const Module out_only("out_only", 0, 100, 0, 9, {10, 10, 10, 10});
+    EXPECT_FALSE(widths_in_regime(out_only, false, true).empty());
+    expect_calculator_matches_reference(out_only);
+
+    // Both cover (LPT skipped) at narrow widths, neither at wide ones.
+    const Module both("both", 40, 40, 8, 3, {3, 3, 2, 2, 1});
+    EXPECT_FALSE(widths_in_regime(both, true, true).empty());
+    EXPECT_FALSE(widths_in_regime(both, false, false).empty());
+    expect_calculator_matches_reference(both);
+
+    // All chains equal: the bound is tight at every multiple of width.
+    const Module equal("equal", 5, 5, 0, 4, {7, 7, 7, 7, 7, 7, 7});
+    expect_calculator_matches_reference(equal);
+
+    // Width n - 1: a single chain is left over after the seeded heap.
+    const Module leftover("leftover", 1, 1, 0, 6, {50, 40, 30, 20, 10});
+    EXPECT_FALSE(skip_regime(leftover, 4).in_covers);
+    EXPECT_EQ(WrapperTimeCalculator(leftover).time(4), wrapped_test_time(leftover, 4));
+    expect_calculator_matches_reference(leftover);
+
+    // Zero cells on one side: that waterline is the bare average load.
+    const Module no_inputs("no_inputs", 0, 30, 0, 5, {20, 15, 5});
+    const Module no_outputs("no_outputs", 30, 0, 0, 5, {20, 15, 5});
+    expect_calculator_matches_reference(no_inputs);
+    expect_calculator_matches_reference(no_outputs);
+}
+
 TEST(ModuleTimeTable, FastBuildEqualsReferenceBuild)
 {
-    const Soc soc = make_benchmark_soc("d695");
-    for (const Module& module : soc.modules()) {
-        const ModuleTimeTable fast(module, 0, TableBuild::fast);
-        const ModuleTimeTable reference(module, 0, TableBuild::reference);
-        ASSERT_EQ(fast.max_width(), reference.max_width()) << module.name();
-        for (WireCount w = 1; w <= fast.max_width(); ++w) {
-            ASSERT_EQ(fast.time(w), reference.time(w)) << module.name() << " width " << w;
-            ASSERT_EQ(fast.used_width(w), reference.used_width(w))
-                << module.name() << " width " << w;
-        }
-        EXPECT_EQ(fast.min_area(), reference.min_area()) << module.name();
-        ASSERT_EQ(fast.pareto().size(), reference.pareto().size()) << module.name();
-        for (std::size_t i = 0; i < fast.pareto().size(); ++i) {
-            EXPECT_EQ(fast.pareto()[i].width, reference.pareto()[i].width);
-            EXPECT_EQ(fast.pareto()[i].test_time, reference.pareto()[i].test_time);
-        }
+    const Soc d695 = make_benchmark_soc("d695");
+    for (const Module& module : d695.modules()) {
+        expect_tables_equal(module);
+    }
+    const Soc wide = generate_soc(scaled_benchmark_config("wide", 200, ScaledShape::wide_shallow));
+    for (const Module& module : wide.modules()) {
+        expect_tables_equal(module);
     }
 }
 
