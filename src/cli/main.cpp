@@ -575,13 +575,16 @@ int cmd_replay(const std::string& path, const Flags& flags)
     return 0;
 }
 
-/// `bench`: run the canonical perf suite and emit the machine-readable
-/// BENCH JSON that records the repo's optimizer-latency trajectory.
-int cmd_bench(const Flags& flags)
+/// The shared body of `bench` and `certify`: reads --filter, --threads
+/// and --repeat into `options`, runs `run`, and writes the BENCH JSON to
+/// --out and/or stdout — or prints `table` with one `row` per result and
+/// a summary line. `failure` is the stderr message when any scenario
+/// failed.
+int run_suite_command(const Flags& flags, BenchOptions options,
+                      BenchReport (*run)(const BenchOptions&), Table table,
+                      std::vector<std::string> (*row)(const BenchCaseResult&),
+                      const char* failure)
 {
-    BenchOptions options;
-    options.quick = flags.count("quick") != 0;
-    options.compare_baseline = flags.count("compare") != 0;
     options.filter = flag_or(flags, "filter", "");
     options.threads = parse_int_flag("threads", flag_or(flags, "threads", "0"));
     const std::string repeat = flag_or(flags, "repeat", "");
@@ -603,7 +606,7 @@ int cmd_bench(const Flags& flags)
         }
     }
 
-    const BenchReport report = run_bench(options);
+    const BenchReport report = run(options);
     if (report.results.empty()) {
         std::cerr << "error: --filter '" << options.filter << "' matched no scenarios\n";
         return 1;
@@ -619,27 +622,8 @@ int cmd_bench(const Flags& flags)
     if (flags.count("json") != 0) {
         write_bench_json(std::cout, report);
     } else {
-        Table table({"scenario", "t_p50", "t_min", "speedup", "n_opt", "k/site", "pack calls",
-                     "cache hits"});
         for (const BenchCaseResult& result : report.results) {
-            if (!result.ok) {
-                table.add_row({result.name, "-", "-", "-", "-", "-", "-",
-                               "error: " + result.error});
-                continue;
-            }
-            std::string speedup = "-";
-            if (result.baseline_wall && result.wall.p50 > 0) {
-                char text[32];
-                std::snprintf(text, sizeof text, "%.1fx",
-                              result.baseline_wall->p50 / result.wall.p50);
-                speedup = text;
-            }
-            table.add_row({result.name, format_seconds(result.wall.p50),
-                           format_seconds(result.wall.min), speedup,
-                           std::to_string(result.fingerprint.sites),
-                           std::to_string(result.fingerprint.channels_per_site),
-                           std::to_string(result.stats.packing.pack_calls),
-                           std::to_string(result.stats.packing.pack_cache_hits)});
+            table.add_row(row(result));
         }
         std::cout << table;
         std::cout << '\n' << report.results.size() << " scenarios (" << report.suite
@@ -651,84 +635,73 @@ int cmd_bench(const Flags& flags)
         std::cout << '\n';
     }
     if (!report.all_ok()) {
-        std::cerr << "error: bench suite had failing scenarios or fingerprint mismatches\n";
+        std::cerr << "error: " << failure << '\n';
         return 1;
     }
     return 0;
 }
 
-int cmd_certify(const Flags& flags)
+std::vector<std::string> bench_row(const BenchCaseResult& result)
+{
+    if (!result.ok) {
+        return {result.name, "-", "-", "-", "-", "-", "-", "error: " + result.error};
+    }
+    std::string speedup = "-";
+    if (result.baseline_wall && result.wall.p50 > 0) {
+        char text[32];
+        std::snprintf(text, sizeof text, "%.1fx", result.baseline_wall->p50 / result.wall.p50);
+        speedup = text;
+    }
+    return {result.name,
+            format_seconds(result.wall.p50),
+            format_seconds(result.wall.min),
+            speedup,
+            std::to_string(result.fingerprint.sites),
+            std::to_string(result.fingerprint.channels_per_site),
+            std::to_string(result.stats.packing.pack_calls),
+            std::to_string(result.stats.packing.pack_cache_hits)};
+}
+
+/// `bench`: run the canonical perf suite and emit the machine-readable
+/// BENCH JSON that records the repo's optimizer-latency trajectory.
+int cmd_bench(const Flags& flags)
 {
     BenchOptions options;
-    options.filter = flag_or(flags, "filter", "");
-    options.threads = parse_int_flag("threads", flag_or(flags, "threads", "0"));
-    const std::string repeat = flag_or(flags, "repeat", "");
-    if (!repeat.empty()) {
-        options.repetitions = parse_int_flag("repeat", repeat);
-        if (options.repetitions < 1) {
-            throw ValidationError("--repeat expects a positive iteration count");
-        }
-    }
+    options.quick = flags.count("quick") != 0;
+    options.compare_baseline = flags.count("compare") != 0;
+    return run_suite_command(flags, options, run_bench,
+                             Table({"scenario", "t_p50", "t_min", "speedup", "n_opt", "k/site",
+                                    "pack calls", "cache hits"}),
+                             bench_row,
+                             "bench suite had failing scenarios or fingerprint mismatches");
+}
 
-    const std::string out_path = flag_or(flags, "out", "");
-    std::ofstream out_file;
-    if (!out_path.empty()) {
-        out_file.open(out_path);
-        if (!out_file) {
-            throw ValidationError("cannot open '" + out_path + "' for writing");
-        }
+std::vector<std::string> certify_row(const BenchCaseResult& result)
+{
+    if (!result.ok) {
+        return {result.name, "-", "-", "-", "-", "-", "-", "-", "error: " + result.error};
     }
+    if (!result.exact) {
+        return {result.name, "-", "-", "-", "-", "-", "-", "-", "no exact record"};
+    }
+    const ExactGapInfo& gap = *result.exact;
+    return {result.name,
+            std::to_string(gap.lower_bound_wires),
+            std::to_string(gap.exact_wires),
+            std::to_string(gap.step1_wires),
+            std::to_string(gap.binpack_wires),
+            std::to_string(gap.exact_gap),
+            std::to_string(gap.bnb_nodes),
+            gap.certified ? "yes" : "NO",
+            format_seconds(result.wall.p50)};
+}
 
-    const BenchReport report = run_certify(options);
-    if (report.results.empty()) {
-        std::cerr << "error: --filter '" << options.filter << "' matched no scenarios\n";
-        return 1;
-    }
-
-    if (!out_path.empty()) {
-        write_bench_json(out_file, report);
-        out_file.flush();
-        if (!out_file.good()) {
-            throw ValidationError("failed writing '" + out_path + "'");
-        }
-    }
-    if (flags.count("json") != 0) {
-        write_bench_json(std::cout, report);
-    } else {
-        Table table({"scenario", "LB", "exact", "step1", "binpack", "gap", "B&B nodes",
-                     "certified", "t_p50"});
-        for (const BenchCaseResult& result : report.results) {
-            if (!result.ok) {
-                table.add_row({result.name, "-", "-", "-", "-", "-", "-", "-",
-                               "error: " + result.error});
-                continue;
-            }
-            if (!result.exact) {
-                table.add_row(
-                    {result.name, "-", "-", "-", "-", "-", "-", "-", "no exact record"});
-                continue;
-            }
-            const ExactGapInfo& gap = *result.exact;
-            table.add_row({result.name, std::to_string(gap.lower_bound_wires),
-                           std::to_string(gap.exact_wires), std::to_string(gap.step1_wires),
-                           std::to_string(gap.binpack_wires), std::to_string(gap.exact_gap),
-                           std::to_string(gap.bnb_nodes), gap.certified ? "yes" : "NO",
-                           format_seconds(result.wall.p50)});
-        }
-        std::cout << table;
-        std::cout << '\n' << report.results.size() << " scenarios (" << report.suite
-                  << " suite), " << report.repetitions << " repetitions, "
-                  << format_seconds(report.total_seconds) << " total";
-        if (!out_path.empty()) {
-            std::cout << ", wrote " << out_path;
-        }
-        std::cout << '\n';
-    }
-    if (!report.all_ok()) {
-        std::cerr << "error: certify suite had failing scenarios\n";
-        return 1;
-    }
-    return 0;
+int cmd_certify(const Flags& flags)
+{
+    return run_suite_command(flags, BenchOptions{}, run_certify,
+                             Table({"scenario", "LB", "exact", "step1", "binpack", "gap",
+                                    "B&B nodes", "certified", "t_p50"}),
+                             certify_row, "certify suite had failing scenarios");
 }
 
 int cmd_flow(const Flags& flags)

@@ -60,6 +60,10 @@ inline constexpr std::uint64_t generator_random_soc = 5;
 /// base seed of the staircase / gallop-search random SOC population.
 inline constexpr std::uint64_t incremental_pack = 7100;
 
+/// Decoder mutation test (tests/decoder_mutation_test.cpp): one flip /
+/// truncate / splice stream per seed over each binary corpus.
+inline constexpr std::uint64_t decoder_mutation[] = {211, 223, 227, 229};
+
 } // namespace test_seeds
 
 } // namespace mst

@@ -41,16 +41,12 @@ std::string json_escape(const std::string& text)
     return out;
 }
 
-namespace {
-
-std::string number(double value)
+std::string json_number(double value)
 {
     char buffer[32];
     std::snprintf(buffer, sizeof buffer, "%.6g", value);
     return buffer;
 }
-
-} // namespace
 
 void write_solution_json(std::ostream& out, const Solution& solution, JsonStyle style)
 {
@@ -67,10 +63,11 @@ void write_solution_json(std::ostream& out, const Solution& solution, JsonStyle 
     out << key << "sites\": " << solution.sites << sep;
     out << key << "channels_per_site\": " << solution.channels_per_site << sep;
     out << key << "test_cycles\": " << solution.test_cycles << sep;
-    out << key << "manufacturing_time_s\": " << number(solution.manufacturing_time) << sep;
-    out << key << "devices_per_hour\": " << number(solution.throughput.devices_per_hour) << sep;
+    out << key << "manufacturing_time_s\": " << json_number(solution.manufacturing_time) << sep;
+    out << key << "devices_per_hour\": " << json_number(solution.throughput.devices_per_hour)
+        << sep;
     out << key << "unique_devices_per_hour\": "
-        << number(solution.throughput.unique_devices_per_hour) << sep;
+        << json_number(solution.throughput.unique_devices_per_hour) << sep;
     out << key << "step1\": { \"channels\": " << solution.channels_step1
         << ", \"max_sites\": " << solution.max_sites_step1 << " }" << sep;
     if (solution.exact) {
@@ -113,7 +110,7 @@ void write_solution_json(std::ostream& out, const Solution& solution, JsonStyle 
         out << (i == 0 ? (pretty ? "\n" : "") : sep) << item;
         out << "{ \"sites\": " << point.sites << ", \"channels_per_site\": "
             << point.channels_per_site << ", \"test_cycles\": " << point.test_cycles
-            << ", \"devices_per_hour\": " << number(point.devices_per_hour) << " }";
+            << ", \"devices_per_hour\": " << json_number(point.devices_per_hour) << " }";
     }
     out << (pretty ? "\n  ]\n}\n" : "]}");
 }

@@ -32,4 +32,9 @@ void write_solution_json(std::ostream& out, const Solution& solution,
 /// backslash, double quote, and control characters).
 [[nodiscard]] std::string json_escape(const std::string& text);
 
+/// Format a double for a JSON report: "%.6g", six significant digits.
+/// The one spelling of floating-point values in solution, bench and
+/// sweep JSON (the service memo key uses its own exact "%.17g").
+[[nodiscard]] std::string json_number(double value);
+
 } // namespace mst

@@ -2,9 +2,10 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <string_view>
 #include <unistd.h>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/faultpoint.hpp"
 #include "common/hash.hpp"
@@ -13,58 +14,16 @@ namespace mst {
 
 namespace {
 
-constexpr char kHeaderMagic[8] = {'M', 'S', 'T', 'S', 'W', 'P', '0', '2'};
+constexpr std::string_view kHeaderMagic = "MSTSWP02";
 
 // Record-section status bytes. Result records (ok/error) count toward
 // the trailer's record_count; heartbeats do not.
 constexpr std::uint8_t kStatusError = 0;
 constexpr std::uint8_t kStatusOk = 1;
 constexpr std::uint8_t kStatusHeartbeat = 2;
-constexpr char kTrailerMagic[8] = {'M', 'S', 'T', 'S', 'W', 'P', 'O', 'K'};
+constexpr std::string_view kTrailerMagic = "MSTSWPOK";
 
-/// Serializes integers explicitly little-endian so shard files written
-/// on any host decode identically.
-class ByteBuffer {
-public:
-    void u8(std::uint8_t value) { bytes_.push_back(static_cast<unsigned char>(value)); }
-
-    void u32(std::uint32_t value)
-    {
-        for (int shift = 0; shift < 32; shift += 8) {
-            bytes_.push_back(static_cast<unsigned char>((value >> shift) & 0xffU));
-        }
-    }
-
-    void u64(std::uint64_t value)
-    {
-        for (int shift = 0; shift < 64; shift += 8) {
-            bytes_.push_back(static_cast<unsigned char>((value >> shift) & 0xffU));
-        }
-    }
-
-    void f64(double value)
-    {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(value));
-        std::memcpy(&bits, &value, sizeof(bits));
-        u64(bits);
-    }
-
-    void raw(const void* data, std::size_t count)
-    {
-        const auto* p = static_cast<const unsigned char*>(data);
-        bytes_.insert(bytes_.end(), p, p + count);
-    }
-
-    [[nodiscard]] const unsigned char* data() const noexcept { return bytes_.data(); }
-    [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
-    void clear() noexcept { bytes_.clear(); }
-
-private:
-    std::vector<unsigned char> bytes_;
-};
-
-void encode_record(ByteBuffer& out, const SweepRecord& record)
+void encode_record(ByteWriter& out, const SweepRecord& record)
 {
     out.u32(record.index);
     out.u8(record.ok ? kStatusOk : kStatusError);
@@ -82,100 +41,14 @@ void encode_record(ByteBuffer& out, const SweepRecord& record)
         out.u64(record.wall_ns);
     } else {
         out.u8(static_cast<std::uint8_t>(record.error_kind));
-        out.u32(static_cast<std::uint32_t>(record.error.size()));
-        out.raw(record.error.data(), record.error.size());
+        out.str(record.error);
     }
 }
 
-/// Sequential reader over a fully loaded file image. Reads past the end
-/// flip `ok`; callers check once per logical unit instead of per field.
-class ByteReader {
-public:
-    explicit ByteReader(std::vector<unsigned char> bytes) : bytes_(std::move(bytes)) {}
-
-    [[nodiscard]] bool ok() const noexcept { return ok_; }
-    [[nodiscard]] std::size_t position() const noexcept { return position_; }
-    [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - position_; }
-    [[nodiscard]] const unsigned char* at(std::size_t offset) const noexcept
-    {
-        return bytes_.data() + offset;
-    }
-
-    std::uint8_t u8() noexcept
-    {
-        if (!take(1)) {
-            return 0;
-        }
-        return bytes_[position_ - 1];
-    }
-
-    std::uint32_t u32() noexcept
-    {
-        if (!take(4)) {
-            return 0;
-        }
-        std::uint32_t value = 0;
-        for (int i = 0; i < 4; ++i) {
-            value |= static_cast<std::uint32_t>(bytes_[position_ - 4 + i]) << (8 * i);
-        }
-        return value;
-    }
-
-    std::uint64_t u64() noexcept
-    {
-        if (!take(8)) {
-            return 0;
-        }
-        std::uint64_t value = 0;
-        for (int i = 0; i < 8; ++i) {
-            value |= static_cast<std::uint64_t>(bytes_[position_ - 8 + i]) << (8 * i);
-        }
-        return value;
-    }
-
-    double f64() noexcept
-    {
-        const std::uint64_t bits = u64();
-        double value = 0;
-        std::memcpy(&value, &bits, sizeof(value));
-        return value;
-    }
-
-    std::string str(std::size_t count) noexcept
-    {
-        if (!take(count)) {
-            return {};
-        }
-        return std::string(reinterpret_cast<const char*>(bytes_.data() + position_ - count),
-                           count);
-    }
-
-    bool magic(const char (&expected)[8]) noexcept
-    {
-        if (!take(8)) {
-            return false;
-        }
-        if (std::memcmp(bytes_.data() + position_ - 8, expected, 8) != 0) {
-            ok_ = false;
-        }
-        return ok_;
-    }
-
-private:
-    bool take(std::size_t count) noexcept
-    {
-        if (!ok_ || bytes_.size() - position_ < count) {
-            ok_ = false;
-            return false;
-        }
-        position_ += count;
-        return true;
-    }
-
-    std::vector<unsigned char> bytes_;
-    std::size_t position_ = 0;
-    bool ok_ = true;
-};
+std::uint64_t checksum_of(std::string_view bytes, std::uint64_t checksum)
+{
+    return fnv1a64(bytes.data(), bytes.size(), checksum);
+}
 
 } // namespace
 
@@ -218,45 +91,69 @@ struct ShardWriter::Impl {
     std::uint32_t written = 0;
     std::uint64_t checksum = kFnvOffsetBasis;
     bool finished = false;
-    ByteBuffer scratch;
+    ByteWriter scratch;
 
-    void put(const ByteBuffer& buffer)
+    ~Impl()
     {
-        if (std::fwrite(buffer.data(), 1, buffer.size(), file) != buffer.size()) {
-            throw CheckpointWriteError("sweep shard write failed: " + path,
-                                       static_cast<std::errc>(errno));
+        if (file != nullptr) {
+            std::fclose(file);
+        }
+    }
+
+    [[noreturn]] void fail(const char* what) const
+    {
+        const auto code = static_cast<std::errc>(errno);
+        throw CheckpointWriteError("sweep shard " + std::string(what) + " failed: " + path,
+                                   code);
+    }
+
+    /// Write `bytes` and flush them: a killed run keeps every appended
+    /// unit on disk.
+    void append(const std::string& bytes)
+    {
+        if (std::fwrite(bytes.data(), 1, bytes.size(), file) != bytes.size()) {
+            fail("write");
+        }
+        if (std::fflush(file) != 0) {
+            fail("flush");
+        }
+    }
+
+    /// Append the scratch record and fold it into the running checksum.
+    void append_record()
+    {
+        append(scratch.bytes());
+        checksum = checksum_of(scratch.bytes(), checksum);
+    }
+
+    void sync() const
+    {
+        if (::fsync(::fileno(file)) != 0) {
+            fail("fsync");
         }
     }
 };
 
 ShardWriter::ShardWriter(const std::string& path, std::uint32_t shard, std::uint32_t shard_count,
                          std::uint64_t spec_fingerprint, std::uint32_t expected_records)
-    : impl_(new Impl)
+    : impl_(std::make_unique<Impl>())
 {
     impl_->path = path;
     impl_->expected = expected_records;
     impl_->file = std::fopen(path.c_str(), "wb");
     if (impl_->file == nullptr) {
-        delete impl_;
         throw ValidationError("cannot open sweep shard file for writing: " + path);
     }
-    ByteBuffer header;
-    header.raw(kHeaderMagic, sizeof(kHeaderMagic));
+    ByteWriter header;
+    header.raw(kHeaderMagic);
     header.u32(shard);
     header.u32(shard_count);
     header.u64(spec_fingerprint);
     header.u32(expected_records);
-    impl_->put(header);
-    std::fflush(impl_->file);
+    impl_->append(header.bytes());
 }
 
-ShardWriter::~ShardWriter()
-{
-    if (impl_->file != nullptr) {
-        std::fclose(impl_->file);
-    }
-    delete impl_;
-}
+ShardWriter::~ShardWriter() = default;
 
 void ShardWriter::write(const SweepRecord& record)
 {
@@ -266,28 +163,20 @@ void ShardWriter::write(const SweepRecord& record)
                                        impl_->path,
                                    fault);
     }
-    ByteBuffer& buffer = impl_->scratch;
-    buffer.clear();
-    encode_record(buffer, record);
-    impl_->put(buffer);
-    // Flush per record: a killed run keeps every completed scenario on
-    // disk (the file is still incomplete without a trailer, but cheap
-    // to diagnose and safe to discard).
-    std::fflush(impl_->file);
-    impl_->checksum = fnv1a64(buffer.data(), buffer.size(), impl_->checksum);
+    impl_->scratch.clear();
+    encode_record(impl_->scratch, record);
+    impl_->append_record();
     ++impl_->written;
 }
 
 void ShardWriter::heartbeat(std::uint32_t index, std::uint32_t attempt)
 {
-    ByteBuffer& buffer = impl_->scratch;
-    buffer.clear();
-    buffer.u32(index);
-    buffer.u8(kStatusHeartbeat);
-    buffer.u32(attempt);
-    impl_->put(buffer);
-    std::fflush(impl_->file);
-    impl_->checksum = fnv1a64(buffer.data(), buffer.size(), impl_->checksum);
+    ByteWriter& out = impl_->scratch;
+    out.clear();
+    out.u32(index);
+    out.u8(kStatusHeartbeat);
+    out.u32(attempt);
+    impl_->append_record();
 }
 
 void ShardWriter::finish()
@@ -308,23 +197,18 @@ void ShardWriter::finish()
     // record byte is durably on disk before it becomes observable, so a
     // trailer that validates can never describe records a torn write
     // lost.
-    std::fflush(impl_->file);
-    if (::fsync(::fileno(impl_->file)) != 0) {
-        throw CheckpointWriteError("sweep shard fsync failed: " + impl_->path,
-                                   static_cast<std::errc>(errno));
-    }
-    ByteBuffer trailer;
-    trailer.raw(kTrailerMagic, sizeof(kTrailerMagic));
+    impl_->sync();
+    ByteWriter trailer;
+    trailer.raw(kTrailerMagic);
     trailer.u32(impl_->written);
     trailer.u64(impl_->checksum);
-    impl_->put(trailer);
-    std::fflush(impl_->file);
-    if (::fsync(::fileno(impl_->file)) != 0) {
-        throw CheckpointWriteError("sweep shard fsync failed: " + impl_->path,
-                                   static_cast<std::errc>(errno));
-    }
-    std::fclose(impl_->file);
+    impl_->append(trailer.bytes());
+    impl_->sync();
+    const int closed = std::fclose(impl_->file);
     impl_->file = nullptr;
+    if (closed != 0) {
+        impl_->fail("close");
+    }
     impl_->finished = true;
 }
 
@@ -334,15 +218,15 @@ std::optional<ShardFile> read_shard_file(const std::string& path)
     if (file == nullptr) {
         return std::nullopt;
     }
-    std::vector<unsigned char> bytes;
-    unsigned char chunk[4096];
+    std::string bytes;
+    char chunk[4096];
     std::size_t got = 0;
     while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-        bytes.insert(bytes.end(), chunk, chunk + got);
+        bytes.append(chunk, got);
     }
     std::fclose(file);
 
-    ByteReader reader(std::move(bytes));
+    ByteReader reader(bytes);
     if (!reader.magic(kHeaderMagic)) {
         return std::nullopt;
     }
@@ -350,13 +234,14 @@ std::optional<ShardFile> read_shard_file(const std::string& path)
     shard.shard = reader.u32();
     shard.shard_count = reader.u32();
     shard.spec_fingerprint = reader.u64();
+    // No checksum covers this count, so it only bounds the loop below;
+    // nothing is sized from it.
     shard.expected_records = reader.u32();
     if (!reader.ok()) {
         return std::nullopt;
     }
 
     std::uint64_t checksum = kFnvOffsetBasis;
-    shard.records.reserve(shard.expected_records);
     while (shard.records.size() < shard.expected_records) {
         const std::size_t start = reader.position();
         SweepRecord record;
@@ -369,7 +254,7 @@ std::optional<ShardFile> read_shard_file(const std::string& path)
             if (!reader.ok()) {
                 return shard;
             }
-            checksum = fnv1a64(reader.at(start), reader.position() - start, checksum);
+            checksum = checksum_of(reader.since(start), checksum);
             shard.heartbeats.push_back(beat);
             continue;
         }
@@ -390,15 +275,14 @@ std::optional<ShardFile> read_shard_file(const std::string& path)
             const auto kind = reader.u8();
             record.error_kind = (kind >= 1 && kind <= 4) ? static_cast<SweepErrorKind>(kind)
                                                          : SweepErrorKind::other;
-            const std::uint32_t length = reader.u32();
-            record.error = reader.str(length);
+            record.error = reader.str(reader.u32());
         }
         if (!reader.ok()) {
             // Truncated mid-record: a killed run. Everything up to here
             // parsed, but without a trailer the file stays incomplete.
             return shard;
         }
-        checksum = fnv1a64(reader.at(start), reader.position() - start, checksum);
+        checksum = checksum_of(reader.since(start), checksum);
         shard.records.push_back(std::move(record));
     }
 

@@ -4,7 +4,8 @@
 // flight; a trailer written on completion marks the file as a valid
 // checkpoint a resumed run can reuse without recomputation.
 //
-// Layout (all integers little-endian; layout documented in docs/sweep.md):
+// Layout (all integers little-endian via common/bytes.hpp; layout
+// documented in docs/sweep.md):
 //
 //   header   "MSTSWP02" | shard u32 | shard_count u32 |
 //            spec_fingerprint u64 | expected_records u32
@@ -33,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -82,7 +84,8 @@ struct SweepRecord {
 class ShardWriter {
 public:
     /// Opens `path` for writing (truncating any stale partial file) and
-    /// writes the header. Throws ValidationError on I/O failure.
+    /// writes the header. Throws ValidationError when the file cannot be
+    /// opened, CheckpointWriteError when the header cannot be written.
     ShardWriter(const std::string& path, std::uint32_t shard, std::uint32_t shard_count,
                 std::uint64_t spec_fingerprint, std::uint32_t expected_records);
     ~ShardWriter();
@@ -107,7 +110,7 @@ public:
 
 private:
     struct Impl;
-    Impl* impl_;
+    std::unique_ptr<Impl> impl_;
 };
 
 /// A heartbeat read back from a shard file.

@@ -1,7 +1,6 @@
 #include "shm/store.hpp"
 
-#include <cstring>
-
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "service/service.hpp"
@@ -11,77 +10,12 @@ namespace mst::shm {
 
 namespace {
 
-// Little-endian fixed-width scalar append/read. The segment is only
-// ever shared between processes of one machine, but an explicit byte
-// order keeps the blob format well-defined (and testable) anyway.
-void put_u32(std::string& out, std::uint32_t value)
+/// A read past the blob's end is a truncated (or corrupted) entry.
+void require_bytes(const ByteReader& reader)
 {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+    if (!reader.ok()) {
+        throw ValidationError("shm blob truncated");
     }
-}
-
-void put_u64(std::string& out, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-    }
-}
-
-struct BlobReader {
-    const std::string& blob;
-    std::size_t pos = 0;
-
-    void need(std::size_t bytes) const
-    {
-        if (pos + bytes > blob.size()) {
-            throw ValidationError("shm blob truncated");
-        }
-    }
-
-    std::uint32_t u32()
-    {
-        need(4);
-        std::uint32_t value = 0;
-        for (int i = 0; i < 4; ++i) {
-            value |= static_cast<std::uint32_t>(static_cast<unsigned char>(blob[pos + i]))
-                     << (8 * i);
-        }
-        pos += 4;
-        return value;
-    }
-
-    std::uint64_t u64()
-    {
-        need(8);
-        std::uint64_t value = 0;
-        for (int i = 0; i < 8; ++i) {
-            value |= static_cast<std::uint64_t>(static_cast<unsigned char>(blob[pos + i]))
-                     << (8 * i);
-        }
-        pos += 8;
-        return value;
-    }
-
-    std::string bytes(std::size_t count)
-    {
-        need(count);
-        std::string value = blob.substr(pos, count);
-        pos += count;
-        return value;
-    }
-};
-
-void put_string(std::string& out, const std::string& value)
-{
-    put_u32(out, static_cast<std::uint32_t>(value.size()));
-    out += value;
-}
-
-std::string get_string(BlobReader& reader)
-{
-    const std::uint32_t size = reader.u32();
-    return reader.bytes(size);
 }
 
 /// Sanity cap on per-module width counts: no table can legitimately
@@ -95,29 +29,30 @@ std::string ShmStore::encode_tables(const SocTimeTables& tables)
     // Per module: the effective-time and used-width staircases — the
     // complete serialized state; every other field is derived on
     // restore (see ModuleTimeTable's restore constructor).
-    std::string blob;
+    ByteWriter out;
     const int count = tables.module_count();
-    put_u32(blob, static_cast<std::uint32_t>(count));
+    out.u32(static_cast<std::uint32_t>(count));
     for (int m = 0; m < count; ++m) {
         const ModuleTimeTable& table = tables.table(m);
         const auto& times = table.effective_times();
         const auto& used = table.used_width_table();
-        put_u32(blob, static_cast<std::uint32_t>(times.size()));
+        out.u32(static_cast<std::uint32_t>(times.size()));
         for (const CycleCount time : times) {
-            put_u64(blob, static_cast<std::uint64_t>(time));
+            out.u64(static_cast<std::uint64_t>(time));
         }
         for (const WireCount width : used) {
-            put_u32(blob, static_cast<std::uint32_t>(width));
+            out.u32(static_cast<std::uint32_t>(width));
         }
     }
-    return blob;
+    return out.take();
 }
 
 std::unique_ptr<SocTimeTables> ShmStore::decode_tables(const std::string& blob,
                                                        const Soc& soc)
 {
-    BlobReader reader{blob};
+    ByteReader reader(blob);
     const std::uint32_t count = reader.u32();
+    require_bytes(reader);
     if (count != static_cast<std::uint32_t>(soc.module_count())) {
         throw ValidationError("shm tables blob does not match the SOC's module count");
     }
@@ -125,6 +60,7 @@ std::unique_ptr<SocTimeTables> ShmStore::decode_tables(const std::string& blob,
     tables.reserve(count);
     for (std::uint32_t m = 0; m < count; ++m) {
         const std::uint32_t widths = reader.u32();
+        require_bytes(reader);
         if (widths == 0 || widths > kMaxWidths) {
             throw ValidationError("shm tables blob has an invalid width count");
         }
@@ -138,10 +74,11 @@ std::unique_ptr<SocTimeTables> ShmStore::decode_tables(const std::string& blob,
         for (std::uint32_t w = 0; w < widths; ++w) {
             used.push_back(static_cast<WireCount>(reader.u32()));
         }
+        require_bytes(reader);
         tables.emplace_back(soc.module(static_cast<int>(m)), std::move(times),
                             std::move(used));
     }
-    if (reader.pos != blob.size()) {
+    if (reader.position() != blob.size()) {
         throw ValidationError("shm tables blob has trailing bytes");
     }
     return std::make_unique<SocTimeTables>(soc, std::move(tables));
@@ -153,37 +90,40 @@ std::string ShmStore::encode_outcome(const std::string& memo_key,
     // The full memo key rides in the payload: the arena addresses
     // entries by the key's 64-bit hash, and storing the key verbatim
     // turns a hash collision into a detectable miss.
-    std::string blob;
-    put_string(blob, memo_key);
-    blob.push_back(outcome.ok ? '\1' : '\0');
-    put_string(blob, outcome.solution_json);
-    put_string(blob, outcome.fingerprint);
-    put_u32(blob, static_cast<std::uint32_t>(outcome.error.kind));
-    put_string(blob, outcome.error.message);
-    put_string(blob, outcome.error.detail);
-    return blob;
+    ByteWriter out;
+    out.str(memo_key);
+    out.u8(outcome.ok ? 1 : 0);
+    out.str(outcome.solution_json);
+    out.str(outcome.fingerprint);
+    out.u32(static_cast<std::uint32_t>(outcome.error.kind));
+    out.str(outcome.error.message);
+    out.str(outcome.error.detail);
+    return out.take();
 }
 
 std::shared_ptr<SolutionOutcome> ShmStore::decode_outcome(const std::string& blob,
                                                           const std::string& memo_key)
 {
-    BlobReader reader{blob};
-    if (get_string(reader) != memo_key) {
+    ByteReader reader(blob);
+    const std::string key = reader.str(reader.u32());
+    require_bytes(reader);
+    if (key != memo_key) {
         return nullptr; // hash collision: a different request's outcome
     }
     auto outcome = std::make_shared<SolutionOutcome>();
-    reader.need(1);
-    outcome->ok = blob[reader.pos++] != '\0';
-    outcome->solution_json = get_string(reader);
-    outcome->fingerprint = get_string(reader);
+    outcome->ok = reader.u8() != 0;
+    outcome->solution_json = reader.str(reader.u32());
+    outcome->fingerprint = reader.str(reader.u32());
     const std::uint32_t kind = reader.u32();
+    require_bytes(reader);
     if (kind > static_cast<std::uint32_t>(protocol::ErrorKind::internal)) {
         throw ValidationError("shm outcome blob has an invalid error kind");
     }
     outcome->error.kind = static_cast<protocol::ErrorKind>(kind);
-    outcome->error.message = get_string(reader);
-    outcome->error.detail = get_string(reader);
-    if (reader.pos != blob.size()) {
+    outcome->error.message = reader.str(reader.u32());
+    outcome->error.detail = reader.str(reader.u32());
+    require_bytes(reader);
+    if (reader.position() != blob.size()) {
         throw ValidationError("shm outcome blob has trailing bytes");
     }
     if (outcome->ok == (outcome->error.kind != protocol::ErrorKind::none)) {

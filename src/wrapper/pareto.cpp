@@ -1,6 +1,7 @@
 #include "wrapper/pareto.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 #include "wrapper/time_calculator.hpp"
@@ -73,6 +74,10 @@ ModuleTimeTable::ModuleTimeTable(const Module& module, std::vector<CycleCount> t
         const auto w = static_cast<WireCount>(i) + 1;
         if (times_[i] <= 0 || (i > 0 && times_[i] > times_[i - 1])) {
             throw ValidationError("restored time table is not non-increasing");
+        }
+        // finalize_derived() multiplies w * time(w).
+        if (times_[i] > std::numeric_limits<CycleCount>::max() / w) {
+            throw ValidationError("restored time table overflows the cycle range");
         }
         if (used_widths_[i] < 1 || used_widths_[i] > w ||
             (i > 0 && used_widths_[i] < used_widths_[i - 1])) {

@@ -48,7 +48,8 @@ public:
     /// arrays through the same finalize path a fresh build uses, so a
     /// restored table is byte-identical to the original. Throws
     /// ValidationError when the arrays are inconsistent (wrong sizes,
-    /// non-monotone times, out-of-range used widths).
+    /// non-monotone times, a width x time area past the cycle range,
+    /// out-of-range used widths).
     ModuleTimeTable(const Module& module, std::vector<CycleCount> times,
                     std::vector<WireCount> used_widths);
 

@@ -435,6 +435,34 @@ TEST(Sweep, TrailerTornOffByKillIsRecomputedByteIdentically)
     EXPECT_EQ(reference, read_file(dir.path() + "/report.json"));
 }
 
+TEST(Sweep, DamagedRecordCountIsRecomputedByteIdentically)
+{
+    const std::string reference = reference_report();
+    const std::vector<Scenario> scenarios = small_scenarios();
+
+    const TempDir dir;
+    (void)run_sweep("sweep-test", scenarios, options_for(dir.path(), 2, 1));
+
+    // The header's expected_records field (offset 24) is not covered by
+    // the checksum: a damaged count must read as an incomplete shard to
+    // recompute, never as a request to reserve 4 billion records.
+    const std::string shard1 = dir.path() + "/shard-0001.msr";
+    std::string content = read_file(shard1);
+    ASSERT_GT(content.size(), 28u);
+    content.replace(24, 4, "\xff\xff\xff\xff");
+    {
+        std::ofstream out(shard1, std::ios::binary | std::ios::trunc);
+        out << content;
+    }
+    std::remove((dir.path() + "/report.json").c_str());
+
+    const SweepOutcome resumed =
+        run_sweep("sweep-test", scenarios, options_for(dir.path(), 2, 1));
+    EXPECT_EQ(resumed.resumed, 4u);
+    EXPECT_EQ(resumed.executed, 4u);
+    EXPECT_EQ(reference, read_file(dir.path() + "/report.json"));
+}
+
 TEST(Sweep, ShutdownRequestInterruptsSupervisedRunAndResumeCompletes)
 {
     const TempDir dir;
