@@ -1,8 +1,6 @@
 #include "arch/channel_group.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
 
 #include "common/error.hpp"
 #include "common/executor.hpp"
@@ -11,71 +9,80 @@ namespace mst {
 
 SocTimeTables::SocTimeTables(const Soc& soc, TableBuild build, int threads) : soc_(&soc)
 {
+    std::vector<WireCount> extents;
+    extents.reserve(soc.modules().size());
+    for (const Module& module : soc.modules()) {
+        extents.push_back(table_extent(module));
+    }
     // Per-module staircases are independent, so the build — the dominant
-    // cost of a cold optimize call — fans out across the executor. Each
-    // slot is written by exactly one index and the tables are assembled
-    // in module order afterwards, so the result is byte-identical at any
-    // thread count. Small fast builds run inline (ITC'02-sized ones
-    // finish in well under the fan-out's wake-up cost); reference builds
-    // always fan out — each module's exhaustive schedule is expensive at
-    // any SOC size, and they are exactly what `bench --compare` times.
-    const auto count = static_cast<std::size_t>(soc.module_count());
+    // cost of a cold optimize call — fans out across the executor. Small
+    // fast builds run inline (ITC'02-sized ones finish in well under the
+    // fan-out's wake-up cost); reference builds always fan out — each
+    // module's exhaustive schedule is expensive at any SOC size, and
+    // they are exactly what `bench --compare` times.
     constexpr std::size_t parallel_build_threshold = 64;
-    if (count < parallel_build_threshold && build == TableBuild::fast) {
-        tables_.reserve(count);
-        for (const Module& m : soc.modules()) {
-            tables_.emplace_back(m, 0, build);
+    const bool inline_build = extents.size() < parallel_build_threshold && build == TableBuild::fast;
+    assemble(extents, inline_build ? 1 : threads, [&](int m, CycleCount* times) {
+        build_staircase(soc.module(m), build, times, static_cast<std::size_t>(extents[m]));
+    });
+}
+
+SocTimeTables::SocTimeTables(const Soc& soc, const std::vector<WireCount>& extents,
+                             const std::function<void(int, CycleCount*)>& read)
+    : soc_(&soc)
+{
+    assemble(extents, 1, read);
+}
+
+void SocTimeTables::assemble(const std::vector<WireCount>& extents, int threads,
+                             const std::function<void(int, CycleCount*)>& fill)
+{
+    if (extents.size() != static_cast<std::size_t>(soc_->module_count())) {
+        throw ValidationError("time tables do not match the SOC's module count");
+    }
+    offsets_.reserve(extents.size() + 1);
+    offsets_.push_back(0);
+    for (const WireCount extent : extents) {
+        if (extent < 1) {
+            throw ValidationError("time table has no widths");
+        }
+        offsets_.push_back(offsets_.back() + static_cast<std::size_t>(extent));
+    }
+    times_flat_.resize(offsets_.back());
+    suffix_min_area_flat_.resize(offsets_.back());
+    // Each task writes only its own module's slice, so the block is
+    // byte-identical at any thread count.
+    const auto fill_slice = [&](std::size_t m) {
+        fill(static_cast<int>(m), times_flat_.data() + offsets_[m]);
+        finalize_staircase(times_flat_.data() + offsets_[m],
+                           suffix_min_area_flat_.data() + offsets_[m], offsets_[m + 1] - offsets_[m]);
+    };
+    if (threads == 1) {
+        // A plain loop stops at the first throw; a sequential reader
+        // must not run on past a slice it rejected.
+        for (std::size_t m = 0; m < extents.size(); ++m) {
+            fill_slice(m);
         }
     } else {
-        std::vector<std::optional<ModuleTimeTable>> slots(count);
-        parallel_for_index(count, threads, [&](std::size_t m) {
-            slots[m].emplace(soc.module(static_cast<int>(m)), 0, build);
-        });
-        tables_.reserve(count);
-        for (std::size_t m = 0; m < count; ++m) {
-            tables_.push_back(std::move(*slots[m]));
+        parallel_for_index(extents.size(), threads, fill_slice);
+    }
+
+    // Every index the flat accessors can produce now exists, which is
+    // what licenses their unchecked loads. A group's fill sums distinct
+    // members' times, each at most its width-1 time, so a width-1 sum
+    // inside the cycle range bounds every fill the packing loops can
+    // form; the min-area sum is the packing floor itself. Built tables
+    // never come near the limit, but restored ones are only as sound as
+    // their bytes.
+    CycleCount width_one_sum = 0;
+    volumes_.reserve(extents.size());
+    for (std::size_t m = 0; m < extents.size(); ++m) {
+        if (__builtin_add_overflow(total_min_area_, suffix_min_area_flat_[offsets_[m]],
+                                   &total_min_area_) ||
+            __builtin_add_overflow(width_one_sum, times_flat_[offsets_[m]], &width_one_sum)) {
+            throw ValidationError("time tables sum past the cycle range");
         }
-    }
-    flatten();
-}
-
-SocTimeTables::SocTimeTables(const Soc& soc, std::vector<ModuleTimeTable> tables)
-    : soc_(&soc), tables_(std::move(tables))
-{
-    if (tables_.size() != static_cast<std::size_t>(soc.module_count())) {
-        throw ValidationError("restored time tables do not match the SOC's module count");
-    }
-    flatten();
-}
-
-void SocTimeTables::flatten()
-{
-    // Flatten the staircases into the SoA hot-path mirror. Every index
-    // the flat accessors can produce is materialized here, which is what
-    // licenses the unchecked loads: module indices are validated by the
-    // offsets_ size (module_count() + 1 entries) and width clamping can
-    // never leave the module's [offsets_[m], offsets_[m + 1]) slice.
-    const std::size_t count = tables_.size();
-    total_min_area_ = 0;
-    for (const ModuleTimeTable& table : tables_) {
-        total_min_area_ += table.min_area();
-    }
-    offsets_.reserve(count + 1);
-    offsets_.push_back(0);
-    std::size_t total_widths = 0;
-    for (const ModuleTimeTable& table : tables_) {
-        total_widths += static_cast<std::size_t>(table.max_width());
-        offsets_.push_back(total_widths);
-    }
-    times_flat_.reserve(total_widths);
-    suffix_min_area_flat_.reserve(total_widths);
-    volumes_.reserve(count);
-    for (const ModuleTimeTable& table : tables_) {
-        const std::vector<CycleCount>& times = table.effective_times();
-        const std::vector<CycleCount>& areas = table.suffix_min_areas();
-        times_flat_.insert(times_flat_.end(), times.begin(), times.end());
-        suffix_min_area_flat_.insert(suffix_min_area_flat_.end(), areas.begin(), areas.end());
-        volumes_.push_back(table.module().test_data_volume_bits());
+        volumes_.push_back(soc_->module(static_cast<int>(m)).test_data_volume_bits());
     }
 }
 

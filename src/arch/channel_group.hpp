@@ -7,8 +7,9 @@
 //
 // Both classes here sit on the innermost greedy-packing loop, so they
 // are built around incremental state instead of recomputation:
-// SocTimeTables flattens every module staircase into one contiguous
-// block (a time lookup is a single indexed load), and ChannelGroup
+// SocTimeTables holds every module staircase in one contiguous block,
+// built straight into place (a time lookup is a single indexed load;
+// table(m) is a view over module m's slice), and ChannelGroup
 // maintains a lazily-extended *fill staircase* — cached member-time
 // sums at widths beyond the current one — so fill-at-width queries and
 // widenings are O(1) amortized instead of O(members). All of it is pure
@@ -16,10 +17,10 @@
 // (tests/incremental_pack_test.cpp pins both invariants).
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -34,12 +35,13 @@ namespace mst {
 /// instance can be shared freely across threads (BatchRunner builds one
 /// per distinct SOC and hands it to every scenario of that SOC).
 ///
-/// Besides the per-module ModuleTimeTable objects, the constructor
-/// flattens the staircases into one contiguous structure-of-arrays
-/// block (times, suffix-min areas, per-module offsets, test-data
-/// volumes), validated once at build time. The flat accessors below are
-/// the packing hot path: no bounds-checked `.at()`, no object hop — a
-/// debug assert guards the contract in debug builds.
+/// All staircases live in one contiguous structure-of-arrays block
+/// (per-module offsets, times, suffix-min areas, test-data volumes),
+/// sized once and filled slice by slice, validated once at build time.
+/// table(m) is a view over module m's slice; the flat accessors below
+/// are the packing hot path: no bounds-checked `.at()`, no object hop —
+/// a debug assert guards the contract in debug builds. Both answer each
+/// query through the same slice functions (wrapper/pareto.hpp).
 class SocTimeTables {
 public:
     /// `threads` caps the parallel per-module build (<= 0: whole shared
@@ -47,21 +49,27 @@ public:
     explicit SocTimeTables(const Soc& soc, TableBuild build = TableBuild::fast,
                            int threads = 0);
 
-    /// Restore from per-module tables deserialized out of the shared-
-    /// memory cache tier (src/shm/store.hpp). `tables[i]` must reference
-    /// soc.module(i); the flattened hot-path mirror is rebuilt through
-    /// the same code the building constructor uses, so a restored
-    /// instance is byte-identical to a fresh build. Throws
-    /// ValidationError on a module-count mismatch.
-    SocTimeTables(const Soc& soc, std::vector<ModuleTimeTable> tables);
+    /// Restore serialized staircases (the shared-memory cache tier,
+    /// src/shm/store.hpp). Module m gets `extents[m]` >= 1 widths;
+    /// `read(m, times)` stores its effective times at
+    /// times[0, extents[m]), called once per module, in order, on this
+    /// thread. Every slice then goes through the finalize a build uses,
+    /// so a restored instance equals a fresh build. Throws
+    /// ValidationError on a module-count mismatch, a slice that is not a
+    /// positive non-increasing staircase, or an area or cross-module sum
+    /// past the cycle range; exceptions from `read` propagate.
+    SocTimeTables(const Soc& soc, const std::vector<WireCount>& extents,
+                  const std::function<void(int, CycleCount*)>& read);
 
     [[nodiscard]] const Soc& soc() const noexcept { return *soc_; }
-    [[nodiscard]] const ModuleTimeTable& table(int module_index) const noexcept
+    [[nodiscard]] ModuleTimeTable table(int module_index) const
     {
         assert(module_index >= 0 && module_index < module_count());
-        return tables_[static_cast<std::size_t>(module_index)];
+        const auto m = static_cast<std::size_t>(module_index);
+        return {soc_->module(module_index), times_flat_.data() + offsets_[m],
+                suffix_min_area_flat_.data() + offsets_[m], offsets_[m + 1] - offsets_[m]};
     }
-    [[nodiscard]] int module_count() const noexcept { return static_cast<int>(tables_.size()); }
+    [[nodiscard]] int module_count() const noexcept { return static_cast<int>(volumes_.size()); }
 
     /// Sum over modules of the minimum width*time rectangle area: the
     /// theoretical packing floor both search loops start from.
@@ -82,13 +90,7 @@ public:
     /// to table(module_index).time(width) minus the checks.
     [[nodiscard]] CycleCount time(int module_index, WireCount width) const noexcept
     {
-        assert(width >= 1);
-        const auto m = static_cast<std::size_t>(module_index);
-        const auto count = offsets_[m + 1] - offsets_[m];
-        const auto clamped = static_cast<std::size_t>(width) < count
-                                 ? static_cast<std::size_t>(width)
-                                 : count;
-        return times_flat_[offsets_[m] + clamped - 1];
+        return time_row(module_index).at_width(width);
     }
 
     /// One module's staircase slice, for loops that probe the same
@@ -101,10 +103,8 @@ public:
 
         [[nodiscard]] CycleCount at_width(WireCount width) const noexcept
         {
-            const auto clamped =
-                static_cast<std::size_t>(width) < count ? static_cast<std::size_t>(width)
-                                                        : count;
-            return times[clamped - 1];
+            assert(width >= 1);
+            return times[staircase_index(width, count)];
         }
     };
     [[nodiscard]] TimeRow time_row(int module_index) const noexcept
@@ -120,31 +120,18 @@ public:
     {
         assert(width >= 1);
         const auto m = static_cast<std::size_t>(module_index);
-        const auto count = offsets_[m + 1] - offsets_[m];
-        const auto clamped = static_cast<std::size_t>(width) < count
-                                 ? static_cast<std::size_t>(width)
-                                 : count;
-        return suffix_min_area_flat_[offsets_[m] + clamped - 1];
+        const std::size_t index = staircase_index(width, offsets_[m + 1] - offsets_[m]);
+        return suffix_min_area_flat_[offsets_[m] + index];
     }
 
     /// Minimal width of `module_index` whose effective time fits in
     /// `depth`, or nullopt if even the maximal width does not fit.
-    /// Identical to table(module_index).min_width_for(depth), served by
-    /// a binary search over the flat times block.
+    /// Identical to table(module_index).min_width_for(depth).
     [[nodiscard]] std::optional<WireCount> min_width_for(int module_index,
                                                          CycleCount depth) const noexcept
     {
-        const auto m = static_cast<std::size_t>(module_index);
-        const CycleCount* first = times_flat_.data() + offsets_[m];
-        const CycleCount* last = times_flat_.data() + offsets_[m + 1];
-        if (*(last - 1) > depth) {
-            return std::nullopt;
-        }
-        // Times are non-increasing: find the first width that fits.
-        const CycleCount* it = std::lower_bound(
-            first, last, depth,
-            [](CycleCount time, CycleCount limit) { return time > limit; });
-        return static_cast<WireCount>(it - first) + 1;
+        const TimeRow row = time_row(module_index);
+        return staircase_min_width(row.times, row.count, depth);
     }
 
     /// Test-data volume of `module_index` in bits (sort key of the
@@ -156,16 +143,18 @@ public:
     }
 
 private:
-    /// Build the flat SoA mirror and total_min_area_ from tables_.
-    void flatten();
+    /// Size the block for `extents`, let `fill(m, times)` write module
+    /// m's effective times into its slice (in module order on this
+    /// thread when `threads` is 1), finalize every slice, then take the
+    /// cross-module sums.
+    void assemble(const std::vector<WireCount>& extents, int threads,
+                  const std::function<void(int, CycleCount*)>& fill);
 
     const Soc* soc_;
-    std::vector<ModuleTimeTable> tables_;
     CycleCount total_min_area_ = 0;
 
-    /// Flat SoA mirror of the per-module staircases: module m owns
-    /// entries [offsets_[m], offsets_[m + 1]) of the value arrays,
-    /// entry i holding the value at width i + 1.
+    /// Module m owns entries [offsets_[m], offsets_[m + 1]) of the value
+    /// arrays, entry i holding the value at width i + 1.
     std::vector<std::size_t> offsets_;
     std::vector<CycleCount> times_flat_;
     std::vector<CycleCount> suffix_min_area_flat_;

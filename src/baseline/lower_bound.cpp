@@ -9,16 +9,14 @@ namespace mst {
 std::optional<WireCount> lower_bound_wires(const SocTimeTables& tables, CycleCount depth)
 {
     WireCount widest_single = 0;
-    CycleCount total_min_area = 0;
     for (int m = 0; m < tables.module_count(); ++m) {
-        const std::optional<WireCount> width = tables.table(m).min_width_for(depth);
+        const std::optional<WireCount> width = tables.min_width_for(m, depth);
         if (!width) {
             return std::nullopt;
         }
         widest_single = std::max(widest_single, *width);
-        total_min_area += tables.table(m).min_area();
     }
-    const auto area_bound = static_cast<WireCount>(ceil_div(total_min_area, depth));
+    const auto area_bound = static_cast<WireCount>(ceil_div(tables.total_min_area(), depth));
     return std::max(widest_single, area_bound);
 }
 

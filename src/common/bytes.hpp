@@ -86,6 +86,9 @@ public:
     /// The next `count` bytes.
     std::string str(std::size_t count) { return std::string(take(count)); }
 
+    /// Step over the next `count` bytes.
+    void skip(std::size_t count) noexcept { (void)take(count); }
+
     /// Consume `expected.size()` bytes; they must equal `expected`.
     bool magic(std::string_view expected) noexcept
     {

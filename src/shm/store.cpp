@@ -26,22 +26,25 @@ constexpr std::uint32_t kMaxWidths = 4096;
 
 std::string ShmStore::encode_tables(const SocTimeTables& tables)
 {
-    // Per module: the effective-time and used-width staircases — the
-    // complete serialized state; every other field is derived on
-    // restore (see ModuleTimeTable's restore constructor).
+    // Per module: the effective-time staircase and the used width at
+    // every width. The used widths are derived from the times — the last
+    // drop at or below each width — and the decoder insists they match,
+    // so the times are the complete state.
     ByteWriter out;
     const int count = tables.module_count();
     out.u32(static_cast<std::uint32_t>(count));
     for (int m = 0; m < count; ++m) {
-        const ModuleTimeTable& table = tables.table(m);
-        const auto& times = table.effective_times();
-        const auto& used = table.used_width_table();
-        out.u32(static_cast<std::uint32_t>(times.size()));
-        for (const CycleCount time : times) {
-            out.u64(static_cast<std::uint64_t>(time));
+        const SocTimeTables::TimeRow row = tables.time_row(m);
+        out.u32(static_cast<std::uint32_t>(row.count));
+        for (std::size_t i = 0; i < row.count; ++i) {
+            out.u64(static_cast<std::uint64_t>(row.times[i]));
         }
-        for (const WireCount width : used) {
-            out.u32(static_cast<std::uint32_t>(width));
+        std::uint32_t used = 0;
+        for (std::size_t i = 0; i < row.count; ++i) {
+            if (staircase_drops(row.times, i)) {
+                used = static_cast<std::uint32_t>(i) + 1;
+            }
+            out.u32(used);
         }
     }
     return out.take();
@@ -50,38 +53,51 @@ std::string ShmStore::encode_tables(const SocTimeTables& tables)
 std::unique_ptr<SocTimeTables> ShmStore::decode_tables(const std::string& blob,
                                                        const Soc& soc)
 {
+    // Pass 1: the width counts, each backed by the bytes that must follow
+    // it, so the flat block is sized once and never from a count the
+    // blob cannot back.
     ByteReader reader(blob);
     const std::uint32_t count = reader.u32();
     require_bytes(reader);
     if (count != static_cast<std::uint32_t>(soc.module_count())) {
         throw ValidationError("shm tables blob does not match the SOC's module count");
     }
-    std::vector<ModuleTimeTable> tables;
-    tables.reserve(count);
+    std::vector<WireCount> extents;
+    extents.reserve(count);
     for (std::uint32_t m = 0; m < count; ++m) {
         const std::uint32_t widths = reader.u32();
         require_bytes(reader);
         if (widths == 0 || widths > kMaxWidths) {
             throw ValidationError("shm tables blob has an invalid width count");
         }
-        std::vector<CycleCount> times;
-        times.reserve(widths);
-        for (std::uint32_t w = 0; w < widths; ++w) {
-            times.push_back(static_cast<CycleCount>(reader.u64()));
-        }
-        std::vector<WireCount> used;
-        used.reserve(widths);
-        for (std::uint32_t w = 0; w < widths; ++w) {
-            used.push_back(static_cast<WireCount>(reader.u32()));
-        }
+        reader.skip(std::size_t{widths} * (sizeof(std::uint64_t) + sizeof(std::uint32_t)));
         require_bytes(reader);
-        tables.emplace_back(soc.module(static_cast<int>(m)), std::move(times),
-                            std::move(used));
+        extents.push_back(static_cast<WireCount>(widths));
     }
     if (reader.position() != blob.size()) {
         throw ValidationError("shm tables blob has trailing bytes");
     }
-    return std::make_unique<SocTimeTables>(soc, std::move(tables));
+
+    // Pass 2: read each module's times straight into its slice; its used
+    // widths must be the ones encode_tables derives from those times, so
+    // decode -> encode reproduces the blob.
+    ByteReader body(blob);
+    (void)body.u32();
+    return std::make_unique<SocTimeTables>(soc, extents, [&](int, CycleCount* times) {
+        const auto widths = static_cast<std::size_t>(body.u32());
+        for (std::size_t i = 0; i < widths; ++i) {
+            times[i] = static_cast<CycleCount>(body.u64());
+        }
+        std::uint32_t used = 0;
+        for (std::size_t i = 0; i < widths; ++i) {
+            if (staircase_drops(times, i)) {
+                used = static_cast<std::uint32_t>(i) + 1;
+            }
+            if (body.u32() != used) {
+                throw ValidationError("shm tables blob has used widths its times do not imply");
+            }
+        }
+    });
 }
 
 std::string ShmStore::encode_outcome(const std::string& memo_key,

@@ -1,17 +1,20 @@
 // Pareto-optimal wrapper widths and minimal-width queries.
 //
 // The wrapped test time t(w) produced by a list-scheduling wrapper design
-// is a staircase in the TAM width w. ModuleTimeTable precomputes the
-// staircase once per module and answers the two queries the optimizers
-// need: "time at width w" and "minimal width fitting a memory depth D".
+// is a staircase in the TAM width w. SocTimeTables (arch/channel_group.hpp)
+// holds every module's staircase in one flat block; this header has the
+// kernels that fill and finalize one module's slice of it, the queries
+// over a slice, and ModuleTimeTable, a non-owning view of one slice.
 //
 // Because list scheduling gives no hard guarantee that t is monotone in
-// w, the table exposes the *effective* time: a module placed on a group
-// of width w may always leave wires idle and use its best width <= w.
-// This makes time(w) non-increasing by construction, which the
-// architecture layer and the paper's reasoning both rely on.
+// w, a slice stores the *effective* time: a module placed on a group of
+// width w may always leave wires idle and use its best width <= w. This
+// makes time(w) non-increasing by construction, which the architecture
+// layer and the paper's reasoning both rely on.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -34,48 +37,95 @@ enum class TableBuild {
     reference, ///< full design_wrapper materialization per width (seed path)
 };
 
-/// Precomputed width -> test-time staircase for one module.
+/// Hard upper limit on considered wrapper widths; protects table size for
+/// modules with very many terminals.
+inline constexpr WireCount width_cap = 512;
+
+/// Widths a module's staircase records: its max_useful_width() clamped
+/// to [1, width_cap], cut further at the width where the wrapped time
+/// saturates (see the definition). Every wider width reads as the last
+/// entry.
+[[nodiscard]] WireCount table_extent(const Module& module);
+
+// --- Slice kernels and queries. A slice holds `count` entries, entry i
+// the value at width i + 1; widths past `count` saturate at the last.
+
+/// Entry index of `width` (>= 1) in a slice of `count` entries.
+[[nodiscard]] inline std::size_t staircase_index(WireCount width, std::size_t count) noexcept
+{
+    const auto w = static_cast<std::size_t>(width);
+    return (w < count ? w : count) - 1;
+}
+
+/// Minimal width whose time in the non-increasing `times` slice fits in
+/// `depth`, or nullopt if even the last entry does not fit.
+[[nodiscard]] inline std::optional<WireCount>
+staircase_min_width(const CycleCount* times, std::size_t count, CycleCount depth) noexcept
+{
+    if (times[count - 1] > depth) {
+        return std::nullopt;
+    }
+    const CycleCount* it = std::lower_bound(
+        times, times + count, depth, [](CycleCount time, CycleCount limit) { return time > limit; });
+    return static_cast<WireCount>(it - times) + 1;
+}
+
+/// True where the effective time strictly drops: at entry 0 and at every
+/// entry below its narrower neighbour. These are the Pareto widths; the
+/// width a module actually uses at any width is the last of them at or
+/// below it.
+[[nodiscard]] inline bool staircase_drops(const CycleCount* times, std::size_t index) noexcept
+{
+    return index == 0 || times[index] < times[index - 1];
+}
+
+/// Fill `times[0, count)` with `module`'s effective times: the running
+/// minimum of the wrapped time at widths 1..count.
+void build_staircase(const Module& module, TableBuild build, CycleCount* times,
+                     std::size_t count);
+
+/// Check that `times[0, count)` is a positive non-increasing staircase
+/// whose every area w * time(w) fits the cycle range, and fill
+/// `suffix_min_areas[i]` with the minimum area over widths >= i + 1.
+/// Shared by the build and the restore paths; throws ValidationError on
+/// a slice a build could never produce.
+void finalize_staircase(const CycleCount* times, CycleCount* suffix_min_areas,
+                        std::size_t count);
+
+/// Read-only view of one module's width -> test-time staircase: a slice
+/// of SocTimeTables' flat block, returned by value from
+/// SocTimeTables::table(m) and valid while those tables live.
 class ModuleTimeTable {
 public:
-    /// Build the table for widths 1..max_width. If max_width is 0 the
-    /// module's own max_useful_width() is used (clamped to width_cap).
-    explicit ModuleTimeTable(const Module& module, WireCount max_width = 0,
-                             TableBuild build = TableBuild::fast);
-
-    /// Restore a table from its serialized staircase arrays (the shared-
-    /// memory cache tier, src/shm/store.hpp). The derived fields (pareto
-    /// points, suffix-min areas, min area) are recomputed from the
-    /// arrays through the same finalize path a fresh build uses, so a
-    /// restored table is byte-identical to the original. Throws
-    /// ValidationError when the arrays are inconsistent (wrong sizes,
-    /// non-monotone times, a width x time area past the cycle range,
-    /// out-of-range used widths).
-    ModuleTimeTable(const Module& module, std::vector<CycleCount> times,
-                    std::vector<WireCount> used_widths);
+    ModuleTimeTable(const Module& module, const CycleCount* times,
+                    const CycleCount* suffix_min_areas, std::size_t count) noexcept
+        : module_(&module), times_(times), suffix_min_areas_(suffix_min_areas), count_(count)
+    {
+    }
 
     [[nodiscard]] const Module& module() const noexcept { return *module_; }
-    [[nodiscard]] WireCount max_width() const noexcept
-    {
-        return static_cast<WireCount>(times_.size());
-    }
+    [[nodiscard]] WireCount max_width() const noexcept { return static_cast<WireCount>(count_); }
 
     /// Effective (monotone non-increasing) test time at width w.
     /// Widths beyond max_width() saturate at the final value.
-    [[nodiscard]] CycleCount time(WireCount width) const;
+    [[nodiscard]] CycleCount time(WireCount width) const { return times_[index(width)]; }
 
     /// Width actually used when width `w` wires are offered (<= w).
     [[nodiscard]] WireCount used_width(WireCount width) const;
 
     /// Minimal width whose effective time fits in `depth`, or nullopt if
     /// even the maximal width does not fit.
-    [[nodiscard]] std::optional<WireCount> min_width_for(CycleCount depth) const;
+    [[nodiscard]] std::optional<WireCount> min_width_for(CycleCount depth) const noexcept
+    {
+        return staircase_min_width(times_, count_, depth);
+    }
 
     /// Pareto points: widths where the effective time strictly drops.
-    [[nodiscard]] const std::vector<ParetoPoint>& pareto() const noexcept { return pareto_; }
+    [[nodiscard]] std::vector<ParetoPoint> pareto() const;
 
     /// Minimum width*time rectangle area over all widths (the baseline's
     /// per-module packing area).
-    [[nodiscard]] CycleCount min_area() const noexcept { return min_area_; }
+    [[nodiscard]] CycleCount min_area() const noexcept { return suffix_min_areas_[0]; }
 
     /// Minimum width*time rectangle area over widths >= `width`. In any
     /// packing whose every group fill stays within a depth D, this module
@@ -84,43 +134,19 @@ public:
     /// module occupies — the per-depth packing floor PackEngine uses to
     /// prune provably-infeasible (depth, budget) queries without running
     /// a single greedy pass.
-    [[nodiscard]] CycleCount min_area_from(WireCount width) const;
-
-    /// Raw staircase arrays (entry i = value at width i + 1), exposed so
-    /// SocTimeTables can flatten them with range copies instead of one
-    /// checked call per width.
-    [[nodiscard]] const std::vector<CycleCount>& effective_times() const noexcept
+    [[nodiscard]] CycleCount min_area_from(WireCount width) const
     {
-        return times_;
-    }
-    [[nodiscard]] const std::vector<CycleCount>& suffix_min_areas() const noexcept
-    {
-        return suffix_min_area_;
-    }
-    /// Width actually used at every table width (entry i = width i + 1):
-    /// together with effective_times() this is the table's complete
-    /// serialized state — everything else is derived (see the restore
-    /// constructor).
-    [[nodiscard]] const std::vector<WireCount>& used_width_table() const noexcept
-    {
-        return used_widths_;
+        return suffix_min_areas_[index(width)];
     }
 
 private:
-    /// Recompute pareto_, suffix_min_area_, and min_area_ from times_
-    /// and used_widths_ (shared by the build and restore constructors).
-    void finalize_derived();
+    /// Slice index of `width`; throws ValidationError if width < 1.
+    [[nodiscard]] std::size_t index(WireCount width) const;
 
     const Module* module_;
-    std::vector<CycleCount> times_;      ///< effective time at width i+1
-    std::vector<WireCount> used_widths_; ///< width achieving times_[i]
-    std::vector<CycleCount> suffix_min_area_; ///< min area over widths >= i+1
-    std::vector<ParetoPoint> pareto_;
-    CycleCount min_area_ = 0;
+    const CycleCount* times_;            ///< effective time at width i+1
+    const CycleCount* suffix_min_areas_; ///< min area over widths >= i+1
+    std::size_t count_;
 };
-
-/// Hard upper limit on considered wrapper widths; protects table size for
-/// modules with very many terminals.
-inline constexpr WireCount width_cap = 512;
 
 } // namespace mst

@@ -1,6 +1,6 @@
 // Fast, exact wrapper test-time evaluation.
 //
-// Building a ModuleTimeTable dominated the optimizer's wall time: the
+// Building the time tables dominated the optimizer's wall time: the
 // staircase needs wrapped_test_time(module, w) for every width w, and
 // the full design path re-sorts the module's scan chains, materializes a
 // WrapperDesign, and water-fills the functional cells one by one on

@@ -29,7 +29,7 @@ TEST(Rectangles, NarrowestFitSelectsMinimalWidths)
     ASSERT_TRUE(rectangles.has_value());
     ASSERT_EQ(rectangles->size(), static_cast<std::size_t>(soc.module_count()));
     for (const ModuleRectangle& rect : *rectangles) {
-        const ModuleTimeTable& table = tables.table(rect.module_index);
+        const ModuleTimeTable table = tables.table(rect.module_index);
         EXPECT_EQ(rect.width, table.min_width_for(48 * kibi).value());
         EXPECT_EQ(rect.height, table.time(rect.width));
         EXPECT_LE(rect.height, 48 * kibi);

@@ -128,7 +128,7 @@ TEST(SocTimeTables, FlatAccessorsMirrorTheTables)
     const Soc soc = two_module_soc();
     const SocTimeTables tables(soc);
     for (int m = 0; m < tables.module_count(); ++m) {
-        const ModuleTimeTable& table = tables.table(m);
+        const ModuleTimeTable table = tables.table(m);
         EXPECT_EQ(tables.flat_max_width(m), table.max_width());
         EXPECT_EQ(tables.volume_bits(m), table.module().test_data_volume_bits());
         for (WireCount w = 1; w <= table.max_width() + 4; ++w) {

@@ -1,10 +1,12 @@
-// Seeded mutation test of the binary decoders: flips, truncations and
-// splices of a real `.msr` shard file, an shm tables blob and an shm
-// outcome blob. The invariant is "typed error or success": the shard
-// reader never throws (damage reads as an incomplete shard), and the shm
-// decoders either decode or throw ValidationError — no crash, no
-// bad_alloc, no out-of-bounds read. A tables blob that decodes must
-// re-encode to the exact mutated bytes.
+// Seeded mutation test of the decoders: flips, truncations and splices
+// of a real `.msr` shard file, an shm tables blob, an shm outcome blob and
+// written `.soc` text. The invariant is "typed error or success": the
+// shard reader never throws (damage reads as an incomplete shard), the
+// shm decoders either decode or throw ValidationError, and the `.soc`
+// parser either parses or throws ParseError / ValidationError — no
+// crash, no bad_alloc, no out-of-bounds read. A tables blob that decodes
+// must re-encode to the exact mutated bytes; a `.soc` text that parses
+// must write back to text that parses to the same text again.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,7 +26,10 @@
 #include "scenario/sweep_records.hpp"
 #include "service/service.hpp"
 #include "shm/store.hpp"
+#include "soc/generator.hpp"
+#include "soc/parser.hpp"
 #include "soc/profiles.hpp"
+#include "soc/writer.hpp"
 
 namespace mst {
 namespace {
@@ -173,6 +178,44 @@ TEST(DecoderMutation, TablesDecoderRejectsTimesWhoseAreaOverflows)
     blob.u32(1);
     blob.u32(2);
     EXPECT_THROW((void)shm::ShmStore::decode_tables(blob.bytes(), soc), ValidationError);
+}
+
+TEST(DecoderMutation, TablesDecoderRejectsCrossModuleSumsThatOverflow)
+{
+    // Each module alone is sound — one width, area 2^62 + 12345 — but
+    // their min areas (and their width-1 times, which bound every group
+    // fill) sum past the 64-bit cycle range.
+    const Soc soc("two", {Module("a", 1, 1, 0, 5, {6}), Module("b", 1, 1, 0, 5, {6})});
+    ByteWriter blob;
+    blob.u32(2);
+    for (int m = 0; m < 2; ++m) {
+        blob.u32(1);
+        blob.u64((std::uint64_t{1} << 62) + 12345);
+        blob.u32(1);
+    }
+    EXPECT_THROW((void)shm::ShmStore::decode_tables(blob.bytes(), soc), ValidationError);
+}
+
+TEST(DecoderMutation, SocParserSucceedsOrThrowsTypedError)
+{
+    for (const Soc& original : {make_benchmark_soc("d695"), random_soc(7, 50)}) {
+        const std::string corpus = soc_to_string(original);
+        for (const std::uint64_t seed : test_seeds::soc_mutation) {
+            Rng rng(seed);
+            for (int i = 0; i < kMutationsPerSeed; ++i) {
+                const std::string damaged = mutate(corpus, rng);
+                try {
+                    const std::string written = soc_to_string(parse_soc_string(damaged));
+                    EXPECT_EQ(soc_to_string(parse_soc_string(written)), written)
+                        << "seed " << seed << " mutation " << i;
+                } catch (const ParseError&) {
+                    // typed rejection of malformed text
+                } catch (const ValidationError&) {
+                    // typed rejection of well-formed but invalid data
+                }
+            }
+        }
+    }
 }
 
 TEST(DecoderMutation, OutcomeDecoderSucceedsOrThrowsValidationError)

@@ -5,6 +5,7 @@
 #include "arch/channel_group.hpp"
 #include "common/error.hpp"
 #include "core/optimizer.hpp"
+#include "one_module_tables.hpp"
 #include "report/gantt.hpp"
 #include "soc/parser.hpp"
 #include "soc/writer.hpp"
@@ -48,7 +49,8 @@ TEST(EdgeCases, SinglePatternModule)
 TEST(EdgeCases, VeryLongSingleChainDominatesEverything)
 {
     const Module m("snake", 1, 1, 0, 10, {10'000});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     // Width 2 moves the functional cells off the chain; beyond that no
     // width can break the indivisible chain, so the staircase is flat.
     EXPECT_EQ(table.time(2), table.time(table.max_width()));

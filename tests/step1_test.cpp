@@ -27,7 +27,7 @@ TEST(Step1, FlatSocGetsOneGroupAtMinimalWidth)
 {
     const Soc soc("flat", {Module("core", 8, 8, 0, 100, {50, 50})});
     const SocTimeTables tables(soc);
-    const ModuleTimeTable& table = tables.table(0);
+    const ModuleTimeTable table = tables.table(0);
     const CycleCount depth = table.time(2) + 10; // 2 wires suffice, 1 does not
     ASSERT_GT(table.time(1), depth);
 

@@ -1,8 +1,12 @@
 // Unit and property tests for ModuleTimeTable: monotone effective times,
-// minimal-width queries, Pareto points, and the min-area rectangle.
+// minimal-width queries, Pareto points, the min-area rectangle, and the
+// table extent. Each table is the one slice of a one-module SocTimeTables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "one_module_tables.hpp"
 #include "soc/generator.hpp"
 #include "wrapper/pareto.hpp"
 #include "wrapper/wrapper_design.hpp"
@@ -13,7 +17,8 @@ namespace {
 TEST(ModuleTimeTable, EffectiveTimeIsMonotone)
 {
     const Module m("m", 10, 8, 2, 30, {25, 17, 9, 5});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     for (WireCount w = 2; w <= table.max_width(); ++w) {
         EXPECT_LE(table.time(w), table.time(w - 1)) << "w=" << w;
     }
@@ -22,7 +27,8 @@ TEST(ModuleTimeTable, EffectiveTimeIsMonotone)
 TEST(ModuleTimeTable, EffectiveTimeNeverExceedsRawDesign)
 {
     const Module m("m", 10, 8, 2, 30, {25, 17, 9, 5});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     for (WireCount w = 1; w <= table.max_width(); ++w) {
         EXPECT_LE(table.time(w), wrapped_test_time(m, w)) << "w=" << w;
     }
@@ -31,7 +37,8 @@ TEST(ModuleTimeTable, EffectiveTimeNeverExceedsRawDesign)
 TEST(ModuleTimeTable, UsedWidthAchievesTheTime)
 {
     const Module m("m", 6, 6, 0, 11, {14, 3});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     for (WireCount w = 1; w <= table.max_width(); ++w) {
         const WireCount used = table.used_width(w);
         EXPECT_LE(used, w);
@@ -42,14 +49,16 @@ TEST(ModuleTimeTable, UsedWidthAchievesTheTime)
 TEST(ModuleTimeTable, SaturatesBeyondMaxWidth)
 {
     const Module m("m", 2, 2, 0, 5, {8});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     EXPECT_EQ(table.time(table.max_width() + 50), table.time(table.max_width()));
 }
 
 TEST(ModuleTimeTable, MinWidthIsMinimal)
 {
     const Module m("m", 10, 8, 2, 30, {25, 17, 9, 5});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     for (const CycleCount depth : {CycleCount{200}, CycleCount{400}, CycleCount{900},
                                    CycleCount{1'500}, CycleCount{100'000}}) {
         const auto width = table.min_width_for(depth);
@@ -67,15 +76,17 @@ TEST(ModuleTimeTable, MinWidthIsMinimal)
 TEST(ModuleTimeTable, ImpossibleDepthReturnsNullopt)
 {
     const Module m("m", 1, 1, 0, 100, {50});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     EXPECT_FALSE(table.min_width_for(10).has_value());
 }
 
 TEST(ModuleTimeTable, ParetoPointsStrictlyImprove)
 {
     const Module m("m", 20, 20, 0, 40, {33, 21, 13, 8, 8, 5});
-    const ModuleTimeTable table(m);
-    const auto& pareto = table.pareto();
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
+    const std::vector<ParetoPoint> pareto = table.pareto();
     ASSERT_FALSE(pareto.empty());
     EXPECT_EQ(pareto.front().width, 1);
     for (std::size_t i = 1; i < pareto.size(); ++i) {
@@ -87,7 +98,8 @@ TEST(ModuleTimeTable, ParetoPointsStrictlyImprove)
 TEST(ModuleTimeTable, MinAreaIsALowerEnvelope)
 {
     const Module m("m", 20, 20, 0, 40, {33, 21, 13, 8, 8, 5});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     for (WireCount w = 1; w <= table.max_width(); ++w) {
         EXPECT_LE(table.min_area(), static_cast<CycleCount>(w) * wrapped_test_time(m, w));
     }
@@ -96,22 +108,39 @@ TEST(ModuleTimeTable, MinAreaIsALowerEnvelope)
 TEST(ModuleTimeTable, RejectsNonPositiveWidthQueries)
 {
     const Module m("m", 1, 1, 0, 1, {});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     EXPECT_THROW((void)table.time(0), ValidationError);
     EXPECT_THROW((void)table.used_width(0), ValidationError);
 }
 
-TEST(ModuleTimeTable, HonorsExplicitMaxWidth)
+TEST(ModuleTimeTable, ExtentStopsAtSaturation)
 {
-    const Module m("m", 64, 64, 0, 10, {});
-    const ModuleTimeTable table(m, 4);
-    EXPECT_EQ(table.max_width(), 4);
+    // No scan chains: the extent is the module's useful width, capped.
+    const Module comb("m", 64, 64, 0, 10, {});
+    EXPECT_EQ(table_extent(comb), std::min(comb.max_useful_width(), width_cap));
+    EXPECT_EQ(OneModuleTables(comb).table().max_width(), table_extent(comb));
+    EXPECT_EQ(table_extent(Module("fat", 2000, 2000, 0, 3, {})), width_cap);
+
+    // Scan chains: the table ends once every chain has its own wire and
+    // both cell water-fills have sunk to the longest chain,
+    // max(4, ceil((56 + 12) / 25), ceil((56 + 10) / 25)) = 4. Every wider
+    // width wraps to the same time.
+    const Module scan("m", 10, 8, 2, 30, {25, 17, 9, 5});
+    ASSERT_EQ(table_extent(scan), 4);
+    const OneModuleTables one(scan);
+    const ModuleTimeTable table = one.table();
+    ASSERT_EQ(table.max_width(), 4);
+    for (WireCount w = 4; w <= scan.max_useful_width(); ++w) {
+        EXPECT_EQ(wrapped_test_time(scan, w), table.time(w)) << "w=" << w;
+    }
 }
 
 TEST(ModuleTimeTable, CapsExtremeWidths)
 {
     const Module m("m", 2000, 2000, 0, 3, {});
-    const ModuleTimeTable table(m);
+    const OneModuleTables one(m);
+    const ModuleTimeTable table = one.table();
     EXPECT_LE(table.max_width(), width_cap);
 }
 
@@ -123,7 +152,8 @@ TEST_P(ParetoPropertyTest, StaircaseInvariants)
 {
     const Soc soc = random_soc(GetParam(), 6);
     for (const Module& m : soc.modules()) {
-        const ModuleTimeTable table(m);
+        const OneModuleTables one(m);
+        const ModuleTimeTable table = one.table();
         for (WireCount w = 2; w <= table.max_width(); ++w) {
             ASSERT_LE(table.time(w), table.time(w - 1)) << m.name() << " w=" << w;
         }

@@ -11,6 +11,7 @@
 #include "arch/channel_group.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "one_module_tables.hpp"
 #include "soc/generator.hpp"
 #include "soc/profiles.hpp"
 #include "wrapper/pareto.hpp"
@@ -58,18 +59,22 @@ std::vector<WireCount> widths_in_regime(const Module& module, bool in_covers, bo
 
 void expect_tables_equal(const Module& module)
 {
-    const ModuleTimeTable fast(module, 0, TableBuild::fast);
-    const ModuleTimeTable reference(module, 0, TableBuild::reference);
+    const OneModuleTables fast_tables(module, TableBuild::fast);
+    const OneModuleTables reference_tables(module, TableBuild::reference);
+    const ModuleTimeTable fast = fast_tables.table();
+    const ModuleTimeTable reference = reference_tables.table();
     ASSERT_EQ(fast.max_width(), reference.max_width()) << module.name();
     for (WireCount w = 1; w <= fast.max_width(); ++w) {
         ASSERT_EQ(fast.time(w), reference.time(w)) << module.name() << " width " << w;
         ASSERT_EQ(fast.used_width(w), reference.used_width(w)) << module.name() << " width " << w;
     }
     EXPECT_EQ(fast.min_area(), reference.min_area()) << module.name();
-    ASSERT_EQ(fast.pareto().size(), reference.pareto().size()) << module.name();
-    for (std::size_t i = 0; i < fast.pareto().size(); ++i) {
-        EXPECT_EQ(fast.pareto()[i].width, reference.pareto()[i].width);
-        EXPECT_EQ(fast.pareto()[i].test_time, reference.pareto()[i].test_time);
+    const std::vector<ParetoPoint> fast_pareto = fast.pareto();
+    const std::vector<ParetoPoint> reference_pareto = reference.pareto();
+    ASSERT_EQ(fast_pareto.size(), reference_pareto.size()) << module.name();
+    for (std::size_t i = 0; i < fast_pareto.size(); ++i) {
+        EXPECT_EQ(fast_pareto[i].width, reference_pareto[i].width);
+        EXPECT_EQ(fast_pareto[i].test_time, reference_pareto[i].test_time);
     }
 }
 
