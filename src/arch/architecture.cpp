@@ -91,10 +91,9 @@ bool Architecture::add_wire_to_bottleneck(WireCount spare)
                          [](const ChannelGroup& a, const ChannelGroup& b) {
                              return a.fill() < b.fill();
                          })));
-    ChannelGroup& group = groups_[bottleneck];
     // Monotonicity of the time staircase means: if `spare` extra wires do
     // not lower the fill, no smaller amount does either.
-    if (group.fill_at_width(group.width() + spare) >= group.fill()) {
+    if (!groups_[bottleneck].fill_drops_within(spare)) {
         return false;
     }
     widen_group(bottleneck, 1);

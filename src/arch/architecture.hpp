@@ -38,9 +38,9 @@ public:
     [[nodiscard]] const std::vector<ChannelGroup>& groups() const noexcept { return groups_; }
 
     /// Dense mirrors of the per-group fills and widths, maintained by
-    /// every mutation. The greedy's innermost scan (best-fit group
-    /// selection, expansion enumeration) walks these flat arrays instead
-    /// of striding over the ChannelGroup objects.
+    /// every mutation. The greedy's expansion enumeration walks these
+    /// flat arrays instead of striding over the ChannelGroup objects, and
+    /// a pass feeds its GroupWidthIndex from them.
     [[nodiscard]] const std::vector<CycleCount>& group_fills() const noexcept
     {
         return group_fills_;
@@ -103,7 +103,8 @@ public:
     /// Step 2's redistribution move: add one wire to the group with the
     /// largest fill, provided that group can still reduce its fill with
     /// at most `spare` additional wires (the time staircase may need
-    /// several wires per step). Returns false — and leaves the
+    /// several wires per step; ChannelGroup::fill_drops_within answers
+    /// that member by member). Returns false — and leaves the
     /// architecture unchanged — when the bottleneck is saturated, so the
     /// caller stops handing out channels that cannot buy time.
     bool add_wire_to_bottleneck(WireCount spare);

@@ -184,6 +184,21 @@ CycleCount ChannelGroup::fill_at_width(WireCount width) const
     return stair_[index];
 }
 
+bool ChannelGroup::fill_drops_within(WireCount extra_wires) const noexcept
+{
+    if (width_ >= members_max_width_) {
+        return false; // every member sits on its flat tail already
+    }
+    const WireCount wider = width_ + extra_wires;
+    for (const int module_index : modules_) {
+        const SocTimeTables::TimeRow row = tables_->time_row(module_index);
+        if (row.at_width(wider) < row.at_width(width_)) {
+            return true;
+        }
+    }
+    return false;
+}
+
 WireCount ChannelGroup::min_widening_for(int module_index, CycleCount depth,
                                          WireCount max_extra) const
 {

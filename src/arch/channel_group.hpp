@@ -12,9 +12,12 @@
 // table(m) is a view over module m's slice), and ChannelGroup
 // maintains a lazily-extended *fill staircase* — cached member-time
 // sums at widths beyond the current one — so fill-at-width queries and
-// widenings are O(1) amortized instead of O(members). All of it is pure
-// caching: results are byte-identical to the recomputing code
-// (tests/incremental_pack_test.cpp pins both invariants).
+// widenings are O(1) amortized instead of O(members). Step 2's "would
+// spare wires help?" check skips the staircase altogether: it compares
+// member times at two widths and stops at the first drop. All of it is
+// pure caching or an exact reformulation: results are byte-identical to
+// the recomputing code (tests/incremental_pack_test.cpp pins each
+// against it).
 #pragma once
 
 #include <cassert>
@@ -204,6 +207,13 @@ public:
 
     /// Fill of the current members if the group were `width` wide.
     [[nodiscard]] CycleCount fill_at_width(WireCount width) const;
+
+    /// Whether `extra_wires` more wires would lower the fill: exactly
+    /// fill_at_width(width() + extra_wires) < fill(). A sum of
+    /// non-increasing staircases drops if and only if one of its terms
+    /// does, so this compares member times at the two widths and stops
+    /// at the first drop, without building staircase entries.
+    [[nodiscard]] bool fill_drops_within(WireCount extra_wires) const noexcept;
 
     /// Smallest width increase delta >= 1 such that the re-wrapped members
     /// plus `module_index` fit in `depth`, capped at `max_extra`.

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/error.hpp"
 
@@ -46,13 +47,26 @@ CycleCount parse_depth(const std::string& text)
     double value = 0.0;
     try {
         value = std::stod(digits, &consumed);
+    } catch (const std::out_of_range&) {
+        throw ValidationError("vector-memory depth out of range: '" + text + "'");
     } catch (const std::exception&) {
         throw ValidationError("malformed vector-memory depth: '" + text + "'");
     }
-    if (consumed != digits.size() || value <= 0.0) {
+    if (consumed != digits.size()) {
         throw ValidationError("malformed vector-memory depth: '" + text + "'");
     }
-    return static_cast<CycleCount>(std::llround(value * static_cast<double>(multiplier)));
+    // llround of a NaN, an infinity or anything past the int64 range
+    // returns LLONG_MIN, so those never reach it. 2^63 is exact in a
+    // double, and every double below it rounds to a valid int64.
+    const double scaled = value * static_cast<double>(multiplier);
+    if (!std::isfinite(scaled) || scaled >= 9223372036854775808.0) {
+        throw ValidationError("vector-memory depth out of range: '" + text + "'");
+    }
+    const auto depth = static_cast<CycleCount>(scaled > 0.0 ? std::llround(scaled) : 0);
+    if (depth < 1) {
+        throw ValidationError("malformed vector-memory depth: '" + text + "'");
+    }
+    return depth;
 }
 
 std::string format_throughput(DevicesPerHour value)

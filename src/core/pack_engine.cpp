@@ -25,8 +25,153 @@ struct PackScratch {
     /// The pass builds here; reset() between passes retires groups into
     /// the architecture's spare pool instead of freeing them.
     Architecture arch;
+    /// arch's groups by width, kept in step with every mutation.
+    GroupWidthIndex index;
     std::vector<PackExpansion> expansions;
 };
+
+void GroupWidthIndex::reset() noexcept
+{
+    leaves_ = min_leaves;
+    classes_.clear();
+    class_of_.clear();
+    fills_.clear();
+}
+
+void GroupWidthIndex::set_leaf(std::size_t width_class, std::size_t group, Node value) noexcept
+{
+    Node* nodes = tree(width_class);
+    std::size_t node = leaves_ + group;
+    nodes[node] = value;
+    // Carry the winner up against each sibling. The lower index wins
+    // ties, so a left sibling (this node odd) wins on `<=`, a right one
+    // only on `<`. Which side wins is data-dependent and would
+    // mispredict as a branch, so the winner is picked with a mask, and
+    // no sibling load waits on the matches below it.
+    for (; node > 1; node /= 2) {
+        const Node& sibling = nodes[node ^ 1];
+        const CycleCount sibling_wins =
+            -static_cast<CycleCount>(sibling.fill - static_cast<CycleCount>(node & 1) < value.fill);
+        value.fill ^= (value.fill ^ sibling.fill) & sibling_wins;
+        value.group ^= (value.group ^ sibling.group) & static_cast<std::uint32_t>(sibling_wins);
+        nodes[node / 2] = value;
+    }
+}
+
+std::size_t GroupWidthIndex::join_class(WireCount width)
+{
+    std::size_t reusable = classes_.size();
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+        if (classes_[c].members == 0) {
+            reusable = std::min(reusable, c);
+        } else if (classes_[c].width == width) {
+            ++classes_[c].members;
+            return c;
+        }
+    }
+    if (reusable == classes_.size()) {
+        // A new class: its tree is stale from an earlier pass (or absent).
+        classes_.push_back({});
+        const std::size_t end = classes_.size() * 2 * leaves_;
+        if (nodes_.size() < end) {
+            nodes_.resize(end);
+        }
+        std::fill(tree(reusable), tree(reusable) + 2 * leaves_, empty_node);
+    }
+    // An emptied class's leaves were all cleared, so its tree is empty.
+    classes_[reusable] = {width, 1};
+    return reusable;
+}
+
+void GroupWidthIndex::grow()
+{
+    leaves_ *= 2;
+    const std::size_t end = classes_.size() * 2 * leaves_;
+    if (nodes_.size() < end) {
+        nodes_.resize(end);
+    }
+    std::fill(nodes_.begin(), nodes_.begin() + static_cast<std::ptrdiff_t>(end), empty_node);
+    for (std::size_t g = 0; g < class_of_.size(); ++g) {
+        tree(class_of_[g])[leaves_ + g] = {fills_[g], static_cast<std::uint32_t>(g)};
+    }
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+        Node* nodes = tree(c);
+        for (std::size_t node = leaves_ - 1; node >= 1; --node) {
+            // The left (lower-index) child wins ties.
+            const Node& left = nodes[2 * node];
+            const Node& right = nodes[2 * node + 1];
+            nodes[node] = right.fill < left.fill ? right : left;
+        }
+    }
+}
+
+void GroupWidthIndex::place(std::size_t group, WireCount width, CycleCount fill)
+{
+    const Node leaf{fill, static_cast<std::uint32_t>(group)};
+    if (group == class_of_.size()) {
+        if (group == leaves_) {
+            grow();
+        }
+        const std::size_t width_class = join_class(width);
+        class_of_.push_back(static_cast<std::uint32_t>(width_class));
+        fills_.push_back(fill);
+        set_leaf(width_class, group, leaf);
+        return;
+    }
+    std::size_t width_class = class_of_[group];
+    if (classes_[width_class].width != width) {
+        set_leaf(width_class, group, empty_node);
+        --classes_[width_class].members;
+        width_class = join_class(width);
+        class_of_[group] = static_cast<std::uint32_t>(width_class);
+    }
+    fills_[group] = fill;
+    set_leaf(width_class, group, leaf);
+}
+
+std::optional<std::size_t> GroupWidthIndex::pick(SocTimeTables::TimeRow row, CycleCount depth,
+                                                 GroupSelectPolicy policy) const noexcept
+{
+    std::optional<std::size_t> best;
+    CycleCount best_fill = std::numeric_limits<CycleCount>::max();
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+        if (classes_[c].members == 0) {
+            continue;
+        }
+        const CycleCount time = row.at_width(classes_[c].width);
+        if (time > depth) {
+            continue;
+        }
+        const CycleCount limit = depth - time;
+        const Node* nodes = tree(c);
+        if (nodes[1].fill > limit) {
+            continue; // not even the class's smallest fill has room
+        }
+        if (policy == GroupSelectPolicy::first_fit) {
+            // Leftmost leaf with room: take the left child whenever its
+            // subtree minimum fits.
+            std::size_t node = 1;
+            while (node < leaves_) {
+                node *= 2;
+                if (nodes[node].fill > limit) {
+                    ++node;
+                }
+            }
+            const std::size_t group = node - leaves_;
+            if (!best || group < *best) {
+                best = group;
+            }
+        } else {
+            const CycleCount fill = nodes[1].fill + time;
+            const std::size_t group = nodes[1].group;
+            if (fill < best_fill || (fill == best_fill && group < *best)) {
+                best_fill = fill;
+                best = group;
+            }
+        }
+    }
+    return best;
+}
 
 namespace {
 
@@ -87,36 +232,6 @@ std::vector<int> order_by_min_width(const std::vector<WireCount>& min_widths,
         indices[starts[static_cast<std::size_t>(width)]++] = module_index;
     }
     return indices;
-}
-
-/// Try to place a module on an existing group without widening.
-/// Returns the chosen group index, or nullopt. Scans the architecture's
-/// dense fill/width mirrors — the single hottest loop of a greedy pass.
-std::optional<std::size_t> pick_existing_group(const Architecture& arch,
-                                               const SocTimeTables& tables,
-                                               int module_index,
-                                               CycleCount depth,
-                                               GroupSelectPolicy policy)
-{
-    const std::vector<CycleCount>& fills = arch.group_fills();
-    const std::vector<WireCount>& widths = arch.group_widths();
-    const SocTimeTables::TimeRow row = tables.time_row(module_index);
-    std::optional<std::size_t> best;
-    CycleCount best_fill = std::numeric_limits<CycleCount>::max();
-    for (std::size_t g = 0; g < fills.size(); ++g) {
-        const CycleCount fill = fills[g] + row.at_width(widths[g]);
-        if (fill > depth) {
-            continue;
-        }
-        if (policy == GroupSelectPolicy::first_fit) {
-            return g;
-        }
-        if (fill < best_fill) {
-            best_fill = fill;
-            best = g;
-        }
-    }
-    return best;
 }
 
 /// Enumerate the feasible alternatives of Fig. 4(c) for placing
@@ -206,6 +321,11 @@ const PackExpansion& select_expansion(const std::vector<PackExpansion>& expansio
     return *best;
 }
 
+/// How many modules ahead a greedy pass prefetches staircase slices:
+/// enough to cover a miss behind a few placements, measured on the
+/// 10,000-module gen1000x-wide SOC (2 and 8 were no better).
+constexpr std::size_t prefetch_ahead = 4;
+
 /// One greedy Step-1 pass under an explicit wire budget, built inside
 /// `scratch` (allocation-free after warm-up). Returns nullopt when the
 /// budget is too tight for this pass; on success the packed architecture
@@ -220,20 +340,37 @@ std::optional<Architecture> step1_pass(const SocTimeTables& tables,
                                        PackScratch& scratch)
 {
     Architecture& arch = scratch.arch;
+    GroupWidthIndex& index = scratch.index;
     arch.reset();
-    for (const int module_index : order) {
+    index.reset();
+    // Every mutation below ends by handing the group's new width and
+    // fill to the index.
+    const auto sync = [&](std::size_t group) {
+        index.place(group, arch.group_widths()[group], arch.group_fills()[group]);
+    };
+    for (std::size_t position = 0; position < order.size(); ++position) {
+        const int module_index = order[position];
+        if (position + prefetch_ahead < order.size()) {
+            // Selection reads each module's staircase at the open groups'
+            // (mostly narrow) widths; in a table block far larger than the
+            // cache that read is a miss, so start it a few modules early.
+            __builtin_prefetch(tables.time_row(order[position + prefetch_ahead]).times);
+        }
         const WireCount min_width = min_widths[static_cast<std::size_t>(module_index)];
         if (arch.groups().empty()) {
             if (min_width > wire_budget) {
                 return std::nullopt;
             }
-            arch.add_module(arch.add_group(min_width), module_index);
+            const std::size_t group = arch.add_group(min_width);
+            arch.add_module(group, module_index);
+            sync(group);
             continue;
         }
         const std::optional<std::size_t> existing =
-            pick_existing_group(arch, tables, module_index, depth, options.group_select);
+            index.pick(tables.time_row(module_index), depth, options.group_select);
         if (existing) {
             arch.add_module(*existing, module_index);
+            sync(*existing);
             continue;
         }
         enumerate_expansions(arch, tables, module_index, min_width, depth, wire_budget,
@@ -248,12 +385,13 @@ std::optional<Architecture> step1_pass(const SocTimeTables& tables,
             return std::nullopt;
         }
         const PackExpansion& chosen = select_expansion(scratch.expansions, depth);
+        const std::size_t group =
+            chosen.group ? *chosen.group : arch.add_group(chosen.added_wires);
         if (chosen.group) {
-            arch.widen_group(*chosen.group, chosen.added_wires);
-            arch.add_module(*chosen.group, module_index);
-        } else {
-            arch.add_module(arch.add_group(chosen.added_wires), module_index);
+            arch.widen_group(group, chosen.added_wires);
         }
+        arch.add_module(group, module_index);
+        sync(group);
     }
     return arch;
 }

@@ -2,7 +2,7 @@
 //
 // Step 1's criterion-1 budget search and Step 2's re-pack fallback both
 // query the greedy many times with repeating (virtual depth, wire
-// budget) pairs. PackEngine answers those queries through three layers:
+// budget) pairs. PackEngine answers those queries through four layers:
 //
 //   * memoization — per depth: minimal widths, module orders, and the
 //     per-depth area floor; per (depth, budget): the packed architecture
@@ -13,6 +13,10 @@
 //     width, see ModuleTimeTable::min_area_from) exceeds budget * depth
 //     provably has no packing, so it is answered infeasible without
 //     running a single greedy pass.
+//   * a sub-linear greedy — each pass keeps its open groups in a
+//     GroupWidthIndex, so placing a module on an existing group costs
+//     O(distinct widths x log groups) instead of a scan over every group
+//     (same pick as the scan, by construction and by test).
 //   * parallelism — pack_batch() evaluates many queries at once: distinct
 //     misses fan out across the global executor, and inside one miss the
 //     (module order x expansion policy) passes run in adaptive waves
@@ -30,6 +34,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,10 +75,89 @@ struct PackQuery {
     }
 }
 
-/// Reusable per-pass buffers (architecture with pooled groups, expansion
-/// alternatives). One greedy pass checks a scratch out of the engine's
-/// pool, builds into it, and returns it — repeated passes and wave
-/// probes stop churning the allocator. Defined in pack_engine.cpp.
+/// One greedy pass's open groups, indexed by width, answering the Fig. 4
+/// question "which existing group takes this module without widening?"
+/// in time sub-linear in the group count.
+///
+/// Groups of equal width give a module the same time t(w), so the index
+/// keeps one class per distinct width (there are few: usually one or
+/// two), each a min-(fill, group index) tournament tree over group
+/// index. For a module and a depth D:
+///   * best fit reads each class's root: its lowest-index minimal fill,
+///     which fits when fill <= D - t(w);
+///   * first fit descends each class to its leftmost leaf whose fill is
+///     at most D - t(w);
+/// and the winner across classes is the smallest (fill + t(w), index)
+/// for best fit, the smallest index for first fit. That is exactly the
+/// group a linear scan in index order keeps (strict `<` on fill, first
+/// fitting index), so packings are unchanged
+/// (tests/incremental_pack_test.cpp pins it against that scan).
+///
+/// Buffers survive reset(): after warm-up a pass allocates nothing.
+class GroupWidthIndex {
+public:
+    /// Forget every group, keeping the buffers.
+    void reset() noexcept;
+
+    /// Record group `group` at `width` with `fill`: `group == size()`
+    /// opens a new group; otherwise the group's fill and (after a
+    /// widening) its width class change.
+    void place(std::size_t group, WireCount width, CycleCount fill);
+
+    /// The group `row`'s module joins at its current width without any
+    /// fill passing `depth`, chosen by `policy`; nullopt if none fits.
+    [[nodiscard]] std::optional<std::size_t> pick(SocTimeTables::TimeRow row, CycleCount depth,
+                                                  GroupSelectPolicy policy) const noexcept;
+
+    [[nodiscard]] std::size_t size() const noexcept { return class_of_.size(); }
+
+private:
+    /// A tree node: the minimal (fill, group) over its leaf range. Empty
+    /// leaves (groups of another width, or none) hold the maximal fill.
+    struct Node {
+        CycleCount fill;
+        std::uint32_t group;
+    };
+    static constexpr Node empty_node{std::numeric_limits<CycleCount>::max(),
+                                     std::numeric_limits<std::uint32_t>::max()};
+    struct WidthClass {
+        WireCount width;
+        std::uint32_t members; ///< 0: free for reuse by any width
+    };
+
+    [[nodiscard]] Node* tree(std::size_t width_class) noexcept
+    {
+        return nodes_.data() + width_class * 2 * leaves_;
+    }
+    [[nodiscard]] const Node* tree(std::size_t width_class) const noexcept
+    {
+        return nodes_.data() + width_class * 2 * leaves_;
+    }
+    /// Class holding `width` (joining it), reusing an emptied class or
+    /// opening one when no group has that width yet.
+    std::size_t join_class(WireCount width);
+    void set_leaf(std::size_t width_class, std::size_t group, Node value) noexcept;
+    /// Double the leaves per tree and re-lay every class from `fills_`.
+    void grow();
+
+    /// Leaves per tree, a power of two: each pass starts small and
+    /// doubles as its groups outgrow the trees, so small passes keep
+    /// shallow trees and cheap class openings.
+    static constexpr std::size_t min_leaves = 4;
+    std::size_t leaves_ = min_leaves;
+    /// Class c's tree is the 1-based heap nodes_[c * 2 * leaves_ + 1,
+    /// (c + 1) * 2 * leaves_); leaf g sits at offset leaves_ + g.
+    std::vector<Node> nodes_;
+    std::vector<WidthClass> classes_;
+    std::vector<std::uint32_t> class_of_; ///< per group
+    std::vector<CycleCount> fills_;       ///< per group, for grow()
+};
+
+/// Reusable per-pass buffers (architecture with pooled groups, width
+/// index, expansion alternatives). One greedy pass checks a scratch out
+/// of the engine's pool, builds into it, and returns it — repeated
+/// passes and wave probes stop churning the allocator. Defined in
+/// pack_engine.cpp.
 struct PackScratch;
 
 /// One optimization run's packing context: time tables + options + caches.

@@ -59,14 +59,38 @@ inline constexpr WireCount width_cap = 512;
 
 /// Minimal width whose time in the non-increasing `times` slice fits in
 /// `depth`, or nullopt if even the last entry does not fit.
+///
+/// Gallops from width 1 (entries 1, 3, 7, 15, ...) before bisecting the
+/// last bracket: the answer is almost always a narrow width, so this
+/// touches the slice's first cache line or two instead of its last entry
+/// plus a full-row binary search. Same answer as std::lower_bound.
 [[nodiscard]] inline std::optional<WireCount>
 staircase_min_width(const CycleCount* times, std::size_t count, CycleCount depth) noexcept
 {
-    if (times[count - 1] > depth) {
-        return std::nullopt;
+    if (times[0] <= depth) {
+        return 1;
     }
-    const CycleCount* it = std::lower_bound(
-        times, times + count, depth, [](CycleCount time, CycleCount limit) { return time > limit; });
+    // Invariant: times[low] > depth. Probe high = low + step, doubling
+    // the step, until an entry fits or the slice ends.
+    std::size_t low = 0;
+    std::size_t step = 1;
+    std::size_t high = 1;
+    while (high < count - 1 && times[high] > depth) {
+        low = high;
+        step *= 2;
+        high = low + step;
+    }
+    if (high >= count - 1) {
+        high = count - 1;
+        if (times[high] > depth) {
+            return std::nullopt;
+        }
+    }
+    // The first fitting entry lies in (low, high].
+    const CycleCount* it = std::lower_bound(times + low + 1, times + high, depth,
+                                            [](CycleCount time, CycleCount limit) {
+                                                return time > limit;
+                                            });
     return static_cast<WireCount>(it - times) + 1;
 }
 

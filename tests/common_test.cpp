@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/format.hpp"
@@ -127,6 +128,38 @@ TEST(ParseDepth, RejectsMalformed)
     EXPECT_THROW((void)parse_depth("abc"), ValidationError);
     EXPECT_THROW((void)parse_depth("-48K"), ValidationError);
     EXPECT_THROW((void)parse_depth("0"), ValidationError);
+}
+
+/// The message parse_depth rejects `text` with.
+std::string depth_error(const std::string& text)
+{
+    try {
+        (void)parse_depth(text);
+    } catch (const ValidationError& error) {
+        return error.what();
+    }
+    return "accepted";
+}
+
+TEST(ParseDepth, RejectsNonFiniteAndOutOfRangeValues)
+{
+    for (const char* text : {"nan", "NaN", "-nan", "inf", "infM", "-inf", "1e19", "9.3e18",
+                             "9007199254740992K", "1e400", "1e400M"}) {
+        EXPECT_EQ(depth_error(text), std::string("vector-memory depth out of range: '") + text + "'")
+            << text;
+    }
+    // The largest double below 2^63 still converts exactly.
+    EXPECT_EQ(parse_depth("9223372036854774784"), 9223372036854774784LL);
+}
+
+TEST(ParseDepth, RejectsValuesRoundingBelowOne)
+{
+    for (const char* text : {"0.4", "0.0000001M", "0.49", "-0.4"}) {
+        EXPECT_EQ(depth_error(text), std::string("malformed vector-memory depth: '") + text + "'")
+            << text;
+    }
+    EXPECT_EQ(parse_depth("0.5"), 1);
+    EXPECT_EQ(parse_depth("0.001K"), 1);
 }
 
 TEST(FormatThroughput, EngineeringStyle)
