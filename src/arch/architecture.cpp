@@ -1,6 +1,7 @@
 #include "arch/architecture.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -103,62 +104,68 @@ bool Architecture::add_wire_to_bottleneck(WireCount spare)
 WireCount Architecture::compact(CycleCount depth)
 {
     WireCount saved = 0;
+    std::vector<std::size_t> victims;
+    std::vector<CycleCount> fills;    // trial fill per group
+    std::vector<std::size_t> targets; // trial group of each victim member
     bool removed = true;
     while (removed && groups_.size() > 1) {
         removed = false;
         // Candidate victims, narrowest first.
-        std::vector<std::size_t> victims(groups_.size());
-        for (std::size_t i = 0; i < victims.size(); ++i) {
-            victims[i] = i;
-        }
+        victims.resize(groups_.size());
+        std::iota(victims.begin(), victims.end(), std::size_t{0});
         std::stable_sort(victims.begin(), victims.end(), [this](std::size_t a, std::size_t b) {
             return groups_[a].width() < groups_[b].width();
         });
 
         for (const std::size_t victim : victims) {
-            std::vector<ChannelGroup> trial;
-            trial.reserve(groups_.size() - 1);
-            for (std::size_t g = 0; g < groups_.size(); ++g) {
-                if (g != victim) {
-                    trial.push_back(groups_[g]);
-                }
-            }
-            bool all_relocated = true;
-            for (const int module_index : groups_[victim].module_indices()) {
-                ChannelGroup* best = nullptr;
+            // Relocate against the fills alone: a member's time on a
+            // group depends only on the group's width, so the groups
+            // themselves change only once every member has found room.
+            fills = group_fills_;
+            targets.clear();
+            const std::vector<int>& members = groups_[victim].module_indices();
+            for (const int module_index : members) {
+                std::size_t best = groups_.size();
                 CycleCount best_fill = 0;
-                for (ChannelGroup& group : trial) {
-                    const CycleCount fill = group.fill_with(module_index);
-                    if (fill <= depth && (best == nullptr || fill < best_fill)) {
-                        best = &group;
+                for (std::size_t g = 0; g < groups_.size(); ++g) {
+                    if (g == victim) {
+                        continue;
+                    }
+                    const CycleCount fill =
+                        fills[g] + tables_->time(module_index, group_widths_[g]);
+                    if (fill <= depth && (best == groups_.size() || fill < best_fill)) {
+                        best = g;
                         best_fill = fill;
                     }
                 }
-                if (best == nullptr) {
-                    all_relocated = false;
+                if (best == groups_.size()) {
                     break;
                 }
-                best->add_module(module_index);
+                fills[best] = best_fill;
+                targets.push_back(best);
             }
-            if (all_relocated) {
-                saved += groups_[victim].width();
-                groups_ = std::move(trial);
-                // Compaction is cold (once per Step-1 result): one
-                // aggregate recompute beats threading deltas through the
-                // relocation loop above.
-                group_fills_.clear();
-                group_widths_.clear();
-                total_wires_ = 0;
-                total_fill_ = 0;
-                for (const ChannelGroup& group : groups_) {
-                    group_fills_.push_back(group.fill());
-                    group_widths_.push_back(group.width());
-                    total_wires_ += group.width();
-                    total_fill_ += group.fill();
-                }
-                removed = true;
-                break;
+            if (targets.size() != members.size()) {
+                continue;
             }
+            for (std::size_t j = 0; j < members.size(); ++j) {
+                groups_[targets[j]].add_module(members[j]);
+            }
+            saved += groups_[victim].width();
+            groups_.erase(groups_.begin() + static_cast<std::ptrdiff_t>(victim));
+            // Compaction is cold (once per Step-1 result): one aggregate
+            // recompute beats threading deltas through the relocation.
+            group_fills_.clear();
+            group_widths_.clear();
+            total_wires_ = 0;
+            total_fill_ = 0;
+            for (const ChannelGroup& group : groups_) {
+                group_fills_.push_back(group.fill());
+                group_widths_.push_back(group.width());
+                total_wires_ += group.width();
+                total_fill_ += group.fill();
+            }
+            removed = true;
+            break;
         }
     }
     return saved;

@@ -48,14 +48,17 @@ void SocTimeTables::assemble(const std::vector<WireCount>& extents, int threads,
         }
         offsets_.push_back(offsets_.back() + static_cast<std::size_t>(extent));
     }
-    times_flat_.resize(offsets_.back());
-    suffix_min_area_flat_.resize(offsets_.back());
+    // Not zero-filled: every entry is written below before it is read,
+    // so a zero fill would only cost a pass over the block.
+    times_flat_.reset(new CycleCount[offsets_.back()]);
+    suffix_min_area_flat_.reset(new CycleCount[offsets_.back()]);
     // Each task writes only its own module's slice, so the block is
     // byte-identical at any thread count.
     const auto fill_slice = [&](std::size_t m) {
-        fill(static_cast<int>(m), times_flat_.data() + offsets_[m]);
-        finalize_staircase(times_flat_.data() + offsets_[m],
-                           suffix_min_area_flat_.data() + offsets_[m], offsets_[m + 1] - offsets_[m]);
+        fill(static_cast<int>(m), times_flat_.get() + offsets_[m]);
+        finalize_staircase(times_flat_.get() + offsets_[m],
+                           suffix_min_area_flat_.get() + offsets_[m],
+                           offsets_[m + 1] - offsets_[m]);
     };
     if (threads == 1) {
         // A plain loop stops at the first throw; a sequential reader

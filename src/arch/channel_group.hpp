@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -69,8 +70,8 @@ public:
     {
         assert(module_index >= 0 && module_index < module_count());
         const auto m = static_cast<std::size_t>(module_index);
-        return {soc_->module(module_index), times_flat_.data() + offsets_[m],
-                suffix_min_area_flat_.data() + offsets_[m], offsets_[m + 1] - offsets_[m]};
+        return {soc_->module(module_index), times_flat_.get() + offsets_[m],
+                suffix_min_area_flat_.get() + offsets_[m], offsets_[m + 1] - offsets_[m]};
     }
     [[nodiscard]] int module_count() const noexcept { return static_cast<int>(volumes_.size()); }
 
@@ -114,7 +115,7 @@ public:
     {
         assert(module_index >= 0 && module_index < module_count());
         const auto m = static_cast<std::size_t>(module_index);
-        return {times_flat_.data() + offsets_[m], offsets_[m + 1] - offsets_[m]};
+        return {times_flat_.get() + offsets_[m], offsets_[m + 1] - offsets_[m]};
     }
 
     /// Minimum width*time rectangle area of `module_index` over widths
@@ -159,8 +160,10 @@ private:
     /// Module m owns entries [offsets_[m], offsets_[m + 1]) of the value
     /// arrays, entry i holding the value at width i + 1.
     std::vector<std::size_t> offsets_;
-    std::vector<CycleCount> times_flat_;
-    std::vector<CycleCount> suffix_min_area_flat_;
+    /// Allocated uninitialized: assemble writes every entry (`fill`,
+    /// then the finalize) before anything reads it.
+    std::unique_ptr<CycleCount[]> times_flat_;
+    std::unique_ptr<CycleCount[]> suffix_min_area_flat_;
     std::vector<std::int64_t> volumes_;
 };
 

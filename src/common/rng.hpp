@@ -64,6 +64,10 @@ inline constexpr std::uint64_t incremental_pack = 7100;
 /// truncate / splice stream per seed over each binary corpus.
 inline constexpr std::uint64_t decoder_mutation[] = {211, 223, 227, 229};
 
+/// Run-batched LPT differential test (tests/wrapper_time_test.cpp): one
+/// random chain multiset of 1-4 distinct lengths per seed.
+inline constexpr std::uint64_t lpt_runs[] = {307, 311, 313, 317, 331, 337, 347, 349};
+
 /// `.soc` parser mutation test (tests/decoder_mutation_test.cpp): one
 /// flip / truncate / splice stream per seed over each written SOC text.
 inline constexpr std::uint64_t soc_mutation[] = {233, 239, 241, 251};

@@ -22,6 +22,7 @@ std::vector<GroupSummary> summarize_groups(const Architecture& arch, const Soc& 
         for (const int module_index : group.module_indices()) {
             summary.module_names.push_back(soc.module(module_index).name());
         }
+        summary.module_indices = group.module_indices();
         summaries.push_back(std::move(summary));
     }
     return summaries;

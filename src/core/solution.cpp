@@ -1,10 +1,36 @@
 #include "core/solution.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace mst {
+
+namespace {
+
+/// SOC index of `group`'s j-th module name, or -1 if the SOC has no
+/// module of that name. The recorded index is taken when it names the
+/// module; a summary without one falls back to a search by name.
+int module_index_of(const Soc& soc, const GroupSummary& group, std::size_t j)
+{
+    const std::string& name = group.module_names[j];
+    if (j < group.module_indices.size()) {
+        const int index = group.module_indices[j];
+        if (index >= 0 && index < soc.module_count() && soc.module(index).name() == name) {
+            return index;
+        }
+    }
+    for (int m = 0; m < soc.module_count(); ++m) {
+        if (soc.module(m).name() == name) {
+            return m;
+        }
+    }
+    return -1;
+}
+
+} // namespace
 
 void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& ate,
                        BroadcastMode broadcast)
@@ -29,9 +55,12 @@ void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& 
         throw ValidationError("solution exceeds the ATE vector memory depth");
     }
 
-    // Architecture consistency.
+    // Architecture consistency. Each name resolves to its SOC module
+    // index, so assignment is tracked in a flag per module; names not in
+    // the SOC are kept apart.
     WireCount wires = 0;
-    std::unordered_set<std::string> assigned;
+    std::vector<char> assigned(static_cast<std::size_t>(soc.module_count()), 0);
+    std::vector<std::string_view> foreign;
     for (const GroupSummary& group : solution.groups) {
         if (group.channels != channels_from_wires(group.wires)) {
             throw ValidationError("group channel count is not twice its wire count");
@@ -40,8 +69,18 @@ void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& 
             throw ValidationError("group fill exceeds the vector memory depth");
         }
         wires += group.wires;
-        for (const std::string& name : group.module_names) {
-            if (!assigned.insert(name).second) {
+        for (std::size_t j = 0; j < group.module_names.size(); ++j) {
+            const std::string& name = group.module_names[j];
+            const int index = module_index_of(soc, group, j);
+            bool repeated = false;
+            if (index >= 0) {
+                repeated = assigned[static_cast<std::size_t>(index)] != 0;
+                assigned[static_cast<std::size_t>(index)] = 1;
+            } else {
+                repeated = std::find(foreign.begin(), foreign.end(), name) != foreign.end();
+                foreign.push_back(name);
+            }
+            if (repeated) {
                 throw ValidationError("module '" + name + "' assigned to two groups");
             }
         }
@@ -49,12 +88,13 @@ void validate_solution(const Solution& solution, const Soc& soc, const AteSpec& 
     if (channels_from_wires(wires) != solution.channels_per_site) {
         throw ValidationError("group widths do not add up to the per-site channel count");
     }
-    for (const Module& m : soc.modules()) {
-        if (assigned.count(m.name()) == 0) {
-            throw ValidationError("module '" + m.name() + "' is not assigned to any group");
+    for (int m = 0; m < soc.module_count(); ++m) {
+        if (assigned[static_cast<std::size_t>(m)] == 0) {
+            throw ValidationError("module '" + soc.module(m).name() +
+                                  "' is not assigned to any group");
         }
     }
-    if (assigned.size() != static_cast<std::size_t>(soc.module_count())) {
+    if (!foreign.empty()) {
         throw ValidationError("solution wraps modules that are not in the SOC");
     }
 

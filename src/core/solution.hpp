@@ -36,6 +36,8 @@ struct GroupSummary {
     ChannelCount channels = 0;
     CycleCount fill = 0;
     std::vector<std::string> module_names;
+    /// SOC module index of each name, for validate_solution's lookup.
+    std::vector<int> module_indices;
 };
 
 /// Outcome of the optional exact branch-and-bound pass over the Step-1

@@ -37,14 +37,13 @@ WireCount table_extent(const Module& module)
 void build_staircase(const Module& module, TableBuild build, CycleCount* times,
                      std::size_t count)
 {
-    // One LPT heap per thread, reused across widths and modules.
-    thread_local std::vector<FlipFlopCount> scratch;
-    const WrapperTimeCalculator calculator(module);
+    if (build == TableBuild::fast) {
+        WrapperTimeCalculator(module).staircase(times, count);
+        return;
+    }
     CycleCount best = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        const auto w = static_cast<WireCount>(i) + 1;
-        const CycleCount raw = (build == TableBuild::fast) ? calculator.time(w, scratch)
-                                                           : wrapped_test_time(module, w);
+        const CycleCount raw = wrapped_test_time(module, static_cast<WireCount>(i) + 1);
         if (i == 0 || raw < best) {
             best = raw;
         }

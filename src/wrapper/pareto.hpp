@@ -33,7 +33,7 @@ struct ParetoPoint {
 /// tables; `reference` exists so benchmarks can measure the seed's
 /// full-design path and tests can cross-check the fast calculator.
 enum class TableBuild {
-    fast,      ///< WrapperTimeCalculator: chains sorted once, loads-only LPT
+    fast,      ///< WrapperTimeCalculator::staircase: bound-pruned, run-batched LPT
     reference, ///< full design_wrapper materialization per width (seed path)
 };
 

@@ -1,6 +1,8 @@
 // The scan test application time formula used throughout the paper.
 #pragma once
 
+#include <algorithm>
+
 #include "common/types.hpp"
 
 namespace mst {
@@ -13,8 +15,13 @@ namespace mst {
 ///
 /// (pipelined scan-in of the next pattern overlapped with scan-out of the
 /// previous one, one capture cycle per pattern; [11], [14]).
-[[nodiscard]] CycleCount scan_test_time(PatternCount patterns,
-                                        FlipFlopCount max_scan_in,
-                                        FlipFlopCount max_scan_out) noexcept;
+[[nodiscard]] inline CycleCount scan_test_time(PatternCount patterns,
+                                               FlipFlopCount max_scan_in,
+                                               FlipFlopCount max_scan_out) noexcept
+{
+    const FlipFlopCount longer = std::max(max_scan_in, max_scan_out);
+    const FlipFlopCount shorter = std::min(max_scan_in, max_scan_out);
+    return (1 + longer) * patterns + shorter;
+}
 
 } // namespace mst

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <functional>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "soc/generator.hpp"
 #include "soc/profiles.hpp"
 #include "wrapper/pareto.hpp"
+#include "wrapper/test_time.hpp"
 #include "wrapper/time_calculator.hpp"
 #include "wrapper/wrapper_design.hpp"
 
@@ -180,6 +183,109 @@ TEST(WrapperTimeCalculator, MatchesDesignWrapperInEveryBoundRegime)
     const Module no_outputs("no_outputs", 30, 0, 0, 5, {20, 15, 5});
     expect_calculator_matches_reference(no_inputs);
     expect_calculator_matches_reference(no_outputs);
+}
+
+/// The loads-only heap LPT the run-batched one replaced, kept as the
+/// oracle: longest chain first onto the currently least-loaded wrapper
+/// chain, one chain at a time.
+FlipFlopCount heap_lpt_max_load(std::vector<FlipFlopCount> lengths, WireCount width)
+{
+    std::sort(lengths.begin(), lengths.end(), std::greater<FlipFlopCount>());
+    std::vector<FlipFlopCount> loads(static_cast<std::size_t>(width), 0);
+    const auto min_heap = std::greater<FlipFlopCount>();
+    for (const FlipFlopCount length : lengths) {
+        std::pop_heap(loads.begin(), loads.end(), min_heap);
+        loads.back() += length;
+        std::push_heap(loads.begin(), loads.end(), min_heap);
+    }
+    return *std::max_element(loads.begin(), loads.end());
+}
+
+/// Up to 600 chains drawn from 1-4 distinct lengths of at most
+/// `longest`; more chains than width_cap if `past_width_cap`.
+std::vector<FlipFlopCount> random_chain_multiset(std::uint64_t seed, bool past_width_cap,
+                                                 FlipFlopCount longest)
+{
+    Rng rng(seed);
+    std::vector<FlipFlopCount> distinct(static_cast<std::size_t>(rng.uniform_int(1, 4)));
+    for (FlipFlopCount& length : distinct) {
+        length = rng.uniform_int(1, longest);
+    }
+    const auto count = past_width_cap ? rng.uniform_int(width_cap + 1, 600)
+                                      : rng.uniform_int(2, width_cap);
+    std::vector<FlipFlopCount> lengths;
+    const auto last = static_cast<std::int64_t>(distinct.size()) - 1;
+    for (std::int64_t c = 0; c < count; ++c) {
+        lengths.push_back(distinct[static_cast<std::size_t>(rng.uniform_int(0, last))]);
+    }
+    return lengths;
+}
+
+TEST(WrapperTimeCalculator, RunBatchedLptMatchesHeapLptAtEveryWidth)
+{
+    bool covered_past_width_cap = false;
+    for (std::size_t i = 0; i < std::size(test_seeds::lpt_runs); ++i) {
+        const std::uint64_t seed = test_seeds::lpt_runs[i];
+        // Short lengths make wrapper chains meet at equal loads often.
+        const std::vector<FlipFlopCount> lengths =
+            random_chain_multiset(seed, i % 2 == 0, i % 4 < 2 ? 2000 : 8);
+        const auto n = static_cast<WireCount>(lengths.size());
+        covered_past_width_cap |= n > width_cap;
+        // Without functional cells and with one pattern the time is
+        // 2 * scan_max + 1, so it pins the LPT maximum itself.
+        const Module bare("bare", 0, 0, 0, 1, lengths);
+        // With cells the maximum enters through both waterlines.
+        Rng rng(seed + 1);
+        const Module celled("celled", static_cast<int>(rng.uniform_int(0, 400)),
+                            static_cast<int>(rng.uniform_int(0, 400)), 0, 7, lengths);
+        const WrapperTimeCalculator bare_time(bare);
+        const WrapperTimeCalculator celled_time(celled);
+        int scheduled = 0;
+        for (WireCount w = 1; w < n; ++w) {
+            const FlipFlopCount scan_max = heap_lpt_max_load(lengths, w);
+            ASSERT_EQ(bare_time.time(w), 2 * scan_max + 1) << "seed " << seed << " width " << w;
+            const FlipFlopCount total = celled.total_scan_flip_flops();
+            const auto side = [&](int cells) {
+                return std::max(scan_max, (total + cells + w - 1) / w);
+            };
+            ASSERT_EQ(celled_time.time(w),
+                      scan_test_time(celled.patterns(), side(celled.scan_in_cells()),
+                                     side(celled.scan_out_cells())))
+                << "seed " << seed << " width " << w;
+            scheduled += skip_regime(bare, w).in_covers ? 0 : 1;
+        }
+        EXPECT_GT(scheduled, 0) << "seed " << seed << ": LPT never ran";
+    }
+    EXPECT_TRUE(covered_past_width_cap);
+}
+
+TEST(ModuleTimeTable, StaircaseKernelEdgeCasesEqualReferenceBuild)
+{
+    // No scan chains: every width lies past the chain count.
+    expect_tables_equal(Module("comb", 17, 9, 3, 250, {}));
+
+    // Zero cells on one side: that side is the bare average load.
+    expect_tables_equal(Module("no_outputs", 12, 0, 0, 50, {100, 80, 3}));
+    expect_tables_equal(Module("no_inputs", 0, 12, 0, 50, {100, 80, 3}));
+
+    // Scan-in waterline ceil(30/w) steps 15 -> 10 at width 3 and meets
+    // the longest chain there exactly: the interval boundary where that
+    // side goes flat, while the scan-out side keeps stepping to width 7.
+    const Module meets("meets", 10, 50, 0, 4, {10, 10});
+    const auto in_waterline = [](WireCount w) { return (20 + 10 + w - 1) / w; };
+    EXPECT_EQ(in_waterline(2), 15);
+    EXPECT_EQ(in_waterline(3), 10);
+    EXPECT_EQ(table_extent(meets), 7);
+    expect_tables_equal(meets);
+
+    // Saturation lies past width_cap (ceil(1102/2) = 551), so the
+    // extent is cut at the cap and the last interval with it.
+    const Module wide("wide", 1100, 3, 0, 2, {2});
+    EXPECT_EQ(table_extent(wide), width_cap);
+    expect_tables_equal(wide);
+
+    // A single chain.
+    expect_tables_equal(Module("single", 7, 3, 0, 11, {40}));
 }
 
 TEST(ModuleTimeTable, FastBuildEqualsReferenceBuild)
