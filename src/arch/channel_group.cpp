@@ -1,11 +1,23 @@
 #include "arch/channel_group.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <new>
 
 #include "common/error.hpp"
 #include "common/executor.hpp"
 
 namespace mst {
+
+namespace {
+
+/// The transparent huge page size of x86-64 and of 4 KiB-granule arm64.
+constexpr std::size_t huge_page_bytes = std::size_t{2} << 20;
+
+} // namespace
 
 SocTimeTables::SocTimeTables(const Soc& soc, TableBuild build, int threads) : soc_(&soc)
 {
@@ -34,6 +46,50 @@ SocTimeTables::SocTimeTables(const Soc& soc, const std::vector<WireCount>& exten
     assemble(extents, 1, read);
 }
 
+void SocTimeTables::BlockDeleter::operator()(CycleCount* block) const noexcept
+{
+    if (mapped_bytes == 0) {
+        delete[] block;
+    } else {
+        (void)::munmap(block, mapped_bytes);
+    }
+}
+
+SocTimeTables::TimesBlock SocTimeTables::allocate_times(std::size_t count)
+{
+    const std::size_t bytes = count * sizeof(CycleCount);
+    if (bytes < huge_page_bytes) {
+        return TimesBlock(new CycleCount[count]);
+    }
+    // A dedicated mapping rather than aligned_alloc: glibc serves later
+    // allocations from the heap once a large block is freed, and
+    // advising heap ranges would leave huge-page-eligible heap behind in
+    // a long-lived server. Over-map by one huge page, then trim the
+    // head and tail so the block starts on a 2 MiB boundary.
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t length = (bytes + page - 1) / page * page;
+    const std::size_t span = length + huge_page_bytes;
+    void* const raw =
+        ::mmap(nullptr, span, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) {
+        throw std::bad_alloc();
+    }
+    const auto start = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t aligned = (start + huge_page_bytes - 1) & ~(huge_page_bytes - 1);
+    if (aligned != start) {
+        (void)::munmap(raw, aligned - start);
+    }
+    if (const std::size_t tail = start + span - (aligned + length); tail != 0) {
+        (void)::munmap(reinterpret_cast<void*>(aligned + length), tail);
+    }
+    // Only the whole 2 MiB chunks, so the resident size stays what
+    // ordinary pages give. Where the advice fails (huge pages off or
+    // unsupported) the block keeps ordinary pages and the same bytes.
+    (void)::madvise(reinterpret_cast<void*>(aligned), bytes / huge_page_bytes * huge_page_bytes,
+                    MADV_HUGEPAGE);
+    return TimesBlock(reinterpret_cast<CycleCount*>(aligned), BlockDeleter{length});
+}
+
 void SocTimeTables::assemble(const std::vector<WireCount>& extents, int threads,
                              const std::function<void(int, CycleCount*)>& fill)
 {
@@ -50,15 +106,14 @@ void SocTimeTables::assemble(const std::vector<WireCount>& extents, int threads,
     }
     // Not zero-filled: every entry is written below before it is read,
     // so a zero fill would only cost a pass over the block.
-    times_flat_.reset(new CycleCount[offsets_.back()]);
-    suffix_min_area_flat_.reset(new CycleCount[offsets_.back()]);
-    // Each task writes only its own module's slice, so the block is
-    // byte-identical at any thread count.
+    times_flat_ = allocate_times(offsets_.back());
+    min_areas_.resize(extents.size());
+    // Each task writes only its own module's slice and minimum, so the
+    // tables are byte-identical at any thread count.
     const auto fill_slice = [&](std::size_t m) {
         fill(static_cast<int>(m), times_flat_.get() + offsets_[m]);
-        finalize_staircase(times_flat_.get() + offsets_[m],
-                           suffix_min_area_flat_.get() + offsets_[m],
-                           offsets_[m + 1] - offsets_[m]);
+        min_areas_[m] =
+            finalize_staircase(times_flat_.get() + offsets_[m], offsets_[m + 1] - offsets_[m]);
     };
     if (threads == 1) {
         // A plain loop stops at the first throw; a sequential reader
@@ -80,8 +135,7 @@ void SocTimeTables::assemble(const std::vector<WireCount>& extents, int threads,
     CycleCount width_one_sum = 0;
     volumes_.reserve(extents.size());
     for (std::size_t m = 0; m < extents.size(); ++m) {
-        if (__builtin_add_overflow(total_min_area_, suffix_min_area_flat_[offsets_[m]],
-                                   &total_min_area_) ||
+        if (__builtin_add_overflow(total_min_area_, min_areas_[m], &total_min_area_) ||
             __builtin_add_overflow(width_one_sum, times_flat_[offsets_[m]], &width_one_sum)) {
             throw ValidationError("time tables sum past the cycle range");
         }

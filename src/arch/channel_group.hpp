@@ -39,13 +39,17 @@ namespace mst {
 /// instance can be shared freely across threads (BatchRunner builds one
 /// per distinct SOC and hands it to every scenario of that SOC).
 ///
-/// All staircases live in one contiguous structure-of-arrays block
-/// (per-module offsets, times, suffix-min areas, test-data volumes),
-/// sized once and filled slice by slice, validated once at build time.
-/// table(m) is a view over module m's slice; the flat accessors below
-/// are the packing hot path: no bounds-checked `.at()`, no object hop —
-/// a debug assert guards the contract in debug builds. Both answer each
-/// query through the same slice functions (wrapper/pareto.hpp).
+/// All staircases live in one contiguous block of times, one 8-byte
+/// entry per width, sized once and filled slice by slice, validated once
+/// at build time; per-module arrays beside it hold the slice offsets,
+/// minimum areas and test-data volumes. A block of 2 MiB or more gets
+/// its own huge-page-advised mapping, so where the host allows huge
+/// pages its first touch faults once per 2 MiB, not once per 4 KiB
+/// page. table(m) is a view
+/// over module m's slice; the flat accessors below are the packing hot
+/// path: no bounds-checked `.at()`, no object hop — a debug assert
+/// guards the contract in debug builds. Both answer each query through
+/// the same slice functions (wrapper/pareto.hpp).
 class SocTimeTables {
 public:
     /// `threads` caps the parallel per-module build (<= 0: whole shared
@@ -70,8 +74,8 @@ public:
     {
         assert(module_index >= 0 && module_index < module_count());
         const auto m = static_cast<std::size_t>(module_index);
-        return {soc_->module(module_index), times_flat_.get() + offsets_[m],
-                suffix_min_area_flat_.get() + offsets_[m], offsets_[m + 1] - offsets_[m]};
+        return {soc_->module(module_index), times_flat_.get() + offsets_[m], min_areas_[m],
+                offsets_[m + 1] - offsets_[m]};
     }
     [[nodiscard]] int module_count() const noexcept { return static_cast<int>(volumes_.size()); }
 
@@ -123,9 +127,10 @@ public:
     [[nodiscard]] CycleCount min_area_from(int module_index, WireCount width) const noexcept
     {
         assert(width >= 1);
-        const auto m = static_cast<std::size_t>(module_index);
-        const std::size_t index = staircase_index(width, offsets_[m + 1] - offsets_[m]);
-        return suffix_min_area_flat_[offsets_[m] + index];
+        const TimeRow row = time_row(module_index);
+        return staircase_min_area_from(row.times, row.count,
+                                       min_areas_[static_cast<std::size_t>(module_index)],
+                                       staircase_index(width, row.count));
     }
 
     /// Minimal width of `module_index` whose effective time fits in
@@ -146,7 +151,29 @@ public:
         return volumes_[static_cast<std::size_t>(module_index)];
     }
 
+    /// Whether the times block is a dedicated mapping (blocks of 2 MiB
+    /// or more) rather than an operator new allocation. No value read
+    /// through the tables depends on it.
+    [[nodiscard]] bool times_mapped() const noexcept
+    {
+        return times_flat_.get_deleter().mapped_bytes != 0;
+    }
+
 private:
+    /// Frees the times block: unmaps a dedicated mapping of
+    /// `mapped_bytes`, or delete[]s an operator new block when it is 0
+    /// (a value-initialized deleter).
+    struct BlockDeleter {
+        std::size_t mapped_bytes;
+        void operator()(CycleCount* block) const noexcept;
+    };
+    using TimesBlock = std::unique_ptr<CycleCount[], BlockDeleter>;
+
+    /// `count` uninitialized entries: operator new below 2 MiB, else an
+    /// anonymous mapping aligned to 2 MiB whose whole 2 MiB chunks are
+    /// advised as huge pages.
+    [[nodiscard]] static TimesBlock allocate_times(std::size_t count);
+
     /// Size the block for `extents`, let `fill(m, times)` write module
     /// m's effective times into its slice (in module order on this
     /// thread when `threads` is 1), finalize every slice, then take the
@@ -157,13 +184,14 @@ private:
     const Soc* soc_;
     CycleCount total_min_area_ = 0;
 
-    /// Module m owns entries [offsets_[m], offsets_[m + 1]) of the value
-    /// arrays, entry i holding the value at width i + 1.
+    /// Module m owns entries [offsets_[m], offsets_[m + 1]) of the times
+    /// block, entry i holding the time at width i + 1.
     std::vector<std::size_t> offsets_;
-    /// Allocated uninitialized: assemble writes every entry (`fill`,
-    /// then the finalize) before anything reads it.
-    std::unique_ptr<CycleCount[]> times_flat_;
-    std::unique_ptr<CycleCount[]> suffix_min_area_flat_;
+    /// Allocated uninitialized: `fill` writes every entry of a slice
+    /// before its finalize reads it.
+    TimesBlock times_flat_;
+    /// Per module: the minimum area over all its widths.
+    std::vector<CycleCount> min_areas_;
     std::vector<std::int64_t> volumes_;
 };
 

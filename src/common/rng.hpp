@@ -72,6 +72,11 @@ inline constexpr std::uint64_t lpt_runs[] = {307, 311, 313, 317, 331, 337, 347, 
 /// flip / truncate / splice stream per seed over each written SOC text.
 inline constexpr std::uint64_t soc_mutation[] = {233, 239, 241, 251};
 
+/// min_area_from differential test (tests/time_tables_property_test.cpp):
+/// one random SOC per seed, every table path checked against a
+/// brute-force suffix minimum.
+inline constexpr std::uint64_t suffix_min_area[] = {401, 409, 419, 421, 431, 433};
+
 } // namespace test_seeds
 
 } // namespace mst

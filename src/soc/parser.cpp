@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -232,11 +233,24 @@ Soc parse_soc_string(const std::string& text, std::string_view origin)
 
 Soc load_soc_file(const std::string& path)
 {
-    std::ifstream file(path);
+    std::ifstream file(path, std::ios::binary);
     if (!file) {
         throw ParseError(path, 0, "cannot open file");
     }
-    return parse_soc(file, path);
+    // One read sized to the file. A directory opens like a file but has
+    // no size and cannot be read; either failure must not reach the
+    // parser as empty text.
+    std::error_code error;
+    const std::uintmax_t size = std::filesystem::file_size(path, error);
+    std::string text;
+    if (!error) {
+        text.resize(static_cast<std::size_t>(size));
+        file.read(text.data(), static_cast<std::streamsize>(size));
+    }
+    if (error || !file || static_cast<std::uintmax_t>(file.gcount()) != size) {
+        throw ParseError(path, 0, "cannot read file");
+    }
+    return parse_soc_text(text, path);
 }
 
 } // namespace mst

@@ -35,8 +35,8 @@ namespace mst {
 /// Parse a .soc description held in a string.
 [[nodiscard]] Soc parse_soc_string(const std::string& text, std::string_view origin = "<string>");
 
-/// Load a .soc file from disk. Throws ParseError if the file cannot be
-/// opened or is malformed.
+/// Load a .soc file from disk. Throws ParseError if the path cannot be
+/// opened or read as a regular file, or the file is malformed.
 [[nodiscard]] Soc load_soc_file(const std::string& path);
 
 } // namespace mst

@@ -18,10 +18,10 @@ WireCount table_extent(const Module& module)
     // wrapped time is the same constant at every wider width. Ending the
     // table there changes no observable value — time(), used_width(),
     // min_width_for(), and min_area_from() all clamp into the flat tail,
-    // and the suffix-min area at the cut equals the true minimum over
-    // the removed widths (w * t grows with w on a constant t). The
-    // saturation width depends only on the module, never on the build
-    // mode, so fast and reference tables stay identical.
+    // and the area at the cut is below every area of the removed widths
+    // (w * t grows with w on a constant t). The saturation width depends
+    // only on the module, never on the build mode, so fast and reference
+    // tables stay identical.
     const FlipFlopCount longest = *std::max_element(module.scan_chain_lengths().begin(),
                                                     module.scan_chain_lengths().end());
     const FlipFlopCount total = module.total_scan_flip_flops();
@@ -51,13 +51,12 @@ void build_staircase(const Module& module, TableBuild build, CycleCount* times,
     }
 }
 
-void finalize_staircase(const CycleCount* times, CycleCount* suffix_min_areas,
-                        std::size_t count)
+CycleCount finalize_staircase(const CycleCount* times, std::size_t count)
 {
     // One backward pass: validate each entry against its wider
-    // neighbour, then fold its area into the suffix minimum. Beyond the
-    // last entry the time saturates, so wider groups only cost more
-    // area and the suffix over the slice already covers them.
+    // neighbour, then fold its area into the minimum. Beyond the last
+    // entry the time saturates, so wider groups only cost more area and
+    // the minimum over the slice already covers them.
     CycleCount best = 0;
     for (std::size_t i = count; i-- > 0;) {
         if (times[i] <= 0 || (i + 1 < count && times[i] < times[i + 1])) {
@@ -70,12 +69,12 @@ void finalize_staircase(const CycleCount* times, CycleCount* suffix_min_areas,
         if (i + 1 == count || area < best) {
             best = area;
         }
-        suffix_min_areas[i] = best;
     }
-    // suffix_min_areas[0], the minimum of w * effective(w), equals the
-    // minimum of w * raw(w): effective(w) = raw(used(w)) with used(w) <=
-    // w, so no effective area undercuts the raw minimum, while effective
-    // <= raw bounds it from the other side.
+    // The minimum of w * effective(w) equals the minimum of w * raw(w):
+    // effective(w) = raw(used(w)) with used(w) <= w, so no effective
+    // area undercuts the raw minimum, while effective <= raw bounds it
+    // from the other side.
+    return best;
 }
 
 std::size_t ModuleTimeTable::index(WireCount width) const

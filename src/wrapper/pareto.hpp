@@ -109,21 +109,38 @@ void build_staircase(const Module& module, TableBuild build, CycleCount* times,
                      std::size_t count);
 
 /// Check that `times[0, count)` is a positive non-increasing staircase
-/// whose every area w * time(w) fits the cycle range, and fill
-/// `suffix_min_areas[i]` with the minimum area over widths >= i + 1.
-/// Shared by the build and the restore paths; throws ValidationError on
-/// a slice a build could never produce.
-void finalize_staircase(const CycleCount* times, CycleCount* suffix_min_areas,
-                        std::size_t count);
+/// whose every area w * time(w) fits the cycle range, and return its
+/// minimum area. Shared by the build and the restore paths; throws
+/// ValidationError on a slice a build could never produce.
+[[nodiscard]] CycleCount finalize_staircase(const CycleCount* times, std::size_t count);
+
+/// Minimum area w * time(w) over the widths from entry `index` on of a
+/// finalized slice whose overall minimum area is `min_area`. Entry 0
+/// answers from `min_area`; a later entry scans the rest of the slice,
+/// stopping early once it meets `min_area`.
+[[nodiscard]] inline CycleCount staircase_min_area_from(const CycleCount* times, std::size_t count,
+                                                        CycleCount min_area,
+                                                        std::size_t index) noexcept
+{
+    if (index == 0) {
+        return min_area;
+    }
+    // Finalize checked every area against the cycle range.
+    CycleCount best = static_cast<CycleCount>(index + 1) * times[index];
+    for (std::size_t i = index + 1; i < count && best != min_area; ++i) {
+        best = std::min(best, static_cast<CycleCount>(i + 1) * times[i]);
+    }
+    return best;
+}
 
 /// Read-only view of one module's width -> test-time staircase: a slice
 /// of SocTimeTables' flat block, returned by value from
 /// SocTimeTables::table(m) and valid while those tables live.
 class ModuleTimeTable {
 public:
-    ModuleTimeTable(const Module& module, const CycleCount* times,
-                    const CycleCount* suffix_min_areas, std::size_t count) noexcept
-        : module_(&module), times_(times), suffix_min_areas_(suffix_min_areas), count_(count)
+    ModuleTimeTable(const Module& module, const CycleCount* times, CycleCount min_area,
+                    std::size_t count) noexcept
+        : module_(&module), times_(times), min_area_(min_area), count_(count)
     {
     }
 
@@ -149,7 +166,7 @@ public:
 
     /// Minimum width*time rectangle area over all widths (the baseline's
     /// per-module packing area).
-    [[nodiscard]] CycleCount min_area() const noexcept { return suffix_min_areas_[0]; }
+    [[nodiscard]] CycleCount min_area() const noexcept { return min_area_; }
 
     /// Minimum width*time rectangle area over widths >= `width`. In any
     /// packing whose every group fill stays within a depth D, this module
@@ -160,7 +177,7 @@ public:
     /// a single greedy pass.
     [[nodiscard]] CycleCount min_area_from(WireCount width) const
     {
-        return suffix_min_areas_[index(width)];
+        return staircase_min_area_from(times_, count_, min_area_, index(width));
     }
 
 private:
@@ -168,8 +185,8 @@ private:
     [[nodiscard]] std::size_t index(WireCount width) const;
 
     const Module* module_;
-    const CycleCount* times_;            ///< effective time at width i+1
-    const CycleCount* suffix_min_areas_; ///< min area over widths >= i+1
+    const CycleCount* times_; ///< effective time at width i+1
+    CycleCount min_area_;     ///< min area over all widths
     std::size_t count_;
 };
 

@@ -1,9 +1,16 @@
-// Unit tests for SocTimeTables and ChannelGroup: fills, widening, and
-// the minimal-widening query.
+// Unit tests for SocTimeTables and ChannelGroup: fills, widening, the
+// minimal-widening query, and where the times block is allocated.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "arch/channel_group.hpp"
 #include "common/error.hpp"
+#include "soc/generator.hpp"
+#include "soc/profiles.hpp"
 #include "soc/soc.hpp"
 
 namespace mst {
@@ -142,6 +149,64 @@ TEST(SocTimeTables, FlatAccessorsMirrorTheTables)
                 << "m=" << m << " depth=" << depth;
         }
     }
+}
+
+/// True when both tables hold the same bytes: every slice, every
+/// minimum area and the total.
+bool same_table_bytes(const SocTimeTables& a, const SocTimeTables& b)
+{
+    if (a.module_count() != b.module_count() || a.total_min_area() != b.total_min_area()) {
+        return false;
+    }
+    for (int m = 0; m < a.module_count(); ++m) {
+        const SocTimeTables::TimeRow x = a.time_row(m);
+        const SocTimeTables::TimeRow y = b.time_row(m);
+        if (x.count != y.count || std::memcmp(x.times, y.times, x.count * sizeof(CycleCount)) != 0 ||
+            a.table(m).min_area() != b.table(m).min_area()) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/// Entries of the whole times block.
+std::size_t block_entries(const SocTimeTables& tables)
+{
+    std::size_t entries = 0;
+    for (int m = 0; m < tables.module_count(); ++m) {
+        entries += tables.time_row(m).count;
+    }
+    return entries;
+}
+
+TEST(SocTimeTables, BlocksOfTwoMebibytesOrMoreGetTheirOwnAlignedMapping)
+{
+    const Soc soc = generate_soc(scaled_benchmark_config("wide", 2500, ScaledShape::wide_shallow));
+    const SocTimeTables one_thread(soc, TableBuild::fast, 1);
+    ASSERT_GE(block_entries(one_thread) * sizeof(CycleCount), std::size_t{2} << 20);
+    const SocTimeTables four_threads(soc, TableBuild::fast, 4);
+    std::vector<WireCount> extents;
+    for (int m = 0; m < one_thread.module_count(); ++m) {
+        extents.push_back(one_thread.flat_max_width(m));
+    }
+    const SocTimeTables restored(soc, extents, [&](int m, CycleCount* times) {
+        const SocTimeTables::TimeRow row = one_thread.time_row(m);
+        std::copy(row.times, row.times + row.count, times);
+    });
+    for (const SocTimeTables* tables : {&one_thread, &four_threads, &restored}) {
+        EXPECT_TRUE(tables->times_mapped());
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(tables->time_row(0).times) % (2 << 20), 0U);
+    }
+    EXPECT_TRUE(same_table_bytes(one_thread, four_threads));
+    EXPECT_TRUE(same_table_bytes(one_thread, restored));
+}
+
+TEST(SocTimeTables, SmallBlocksStayOnTheHeap)
+{
+    const Soc soc = make_benchmark_soc("p93791");
+    const SocTimeTables tables(soc);
+    ASSERT_LT(block_entries(tables) * sizeof(CycleCount), std::size_t{2} << 20);
+    EXPECT_FALSE(tables.times_mapped());
 }
 
 TEST(ChannelGroup, MinWideningReturnsZeroWhenHopeless)

@@ -272,5 +272,34 @@ TEST(SocLoader, MissingFileThrows)
     EXPECT_THROW((void)load_soc_file("/nonexistent/dir/foo.soc"), ParseError);
 }
 
+/// The message of the ParseError `load_soc_file(path)` throws.
+std::string load_error(const std::string& path)
+{
+    try {
+        (void)load_soc_file(path);
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.file(), path);
+        EXPECT_EQ(e.line(), 0);
+        return e.what();
+    }
+    ADD_FAILURE() << path << " loaded";
+    return {};
+}
+
+TEST(SocLoader, DirectoryIsAnUnreadableFile)
+{
+    const std::string message = load_error(testing::TempDir());
+    EXPECT_NE(message.find("cannot read file"), std::string::npos) << message;
+}
+
+TEST(SocLoader, EmptyFileIsMissingItsSocStatement)
+{
+    const std::string path = testing::TempDir() + "/mst_empty.soc";
+    std::ofstream(path).close();
+    const std::string message = load_error(path);
+    EXPECT_NE(message.find("missing 'soc' statement"), std::string::npos) << message;
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace mst

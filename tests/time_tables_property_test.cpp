@@ -1,10 +1,12 @@
 // Property test of the flat time-table block: every way of producing a
 // SocTimeTables — the fast build at 1 and at 4 threads, the reference
 // build, and a decode of an encoded blob — must agree on every accessor,
-// the derived used widths and Pareto points included. Also pins the
+// the derived used widths and Pareto points included, and every path's
+// min_area_from must equal a brute-force suffix minimum. Also pins the
 // decoder's rejection of used widths the times do not imply.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -14,6 +16,7 @@
 #include "arch/channel_group.hpp"
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "shm/store.hpp"
 #include "soc/generator.hpp"
 #include "soc/profiles.hpp"
@@ -93,6 +96,36 @@ void expect_derived_fields_consistent(const SocTimeTables& tables)
     }
 }
 
+/// Brute-force min_area_from: the minimum of v * time(v) over the
+/// entries from width `width` on. Widths past the slice read as its last
+/// entry, as every accessor does.
+CycleCount brute_min_area_from(const ModuleTimeTable& table, WireCount width)
+{
+    CycleCount best = std::numeric_limits<CycleCount>::max();
+    for (WireCount v = std::min(width, table.max_width()); v <= table.max_width(); ++v) {
+        best = std::min(best, static_cast<CycleCount>(v) * table.time(v));
+    }
+    return best;
+}
+
+/// Both min_area_from accessors against the brute force at every width
+/// from 1 to two past the slice, and total_min_area against the sum.
+void expect_min_area_from_matches_brute_force(const SocTimeTables& tables)
+{
+    CycleCount total = 0;
+    for (int m = 0; m < tables.module_count(); ++m) {
+        const ModuleTimeTable table = tables.table(m);
+        EXPECT_EQ(table.min_area(), brute_min_area_from(table, 1)) << "module " << m;
+        for (WireCount w = 1; w <= table.max_width() + 2; ++w) {
+            const CycleCount want = brute_min_area_from(table, w);
+            ASSERT_EQ(tables.min_area_from(m, w), want) << "module " << m << " w " << w;
+            ASSERT_EQ(table.min_area_from(w), want) << "module " << m << " w " << w;
+        }
+        total += brute_min_area_from(table, 1);
+    }
+    EXPECT_EQ(tables.total_min_area(), total);
+}
+
 void expect_all_paths_agree(const Soc& soc)
 {
     const SocTimeTables one_thread(soc, TableBuild::fast, 1);
@@ -107,17 +140,51 @@ void expect_all_paths_agree(const Soc& soc)
     ASSERT_NE(decoded, nullptr);
     expect_same_tables(one_thread, *decoded);
     EXPECT_EQ(shm::ShmStore::encode_tables(*decoded), blob);
+    expect_min_area_from_matches_brute_force(one_thread);
+    expect_min_area_from_matches_brute_force(reference);
+    expect_min_area_from_matches_brute_force(*decoded);
 }
 
-TEST(TimeTablesProperty, BuildPathsAndRoundTripAgreeOnD695)
+TEST(TimeTablesProperty, BuildPathsAndRoundTripAgreeOnPaperSocs)
 {
-    expect_all_paths_agree(make_benchmark_soc("d695"));
+    for (const std::string& name : benchmark_soc_names()) {
+        SCOPED_TRACE(name);
+        expect_all_paths_agree(make_benchmark_soc(name));
+    }
+}
+
+TEST(TimeTablesProperty, BuildPathsAndRoundTripAgreeOnRandomSocs)
+{
+    for (const std::uint64_t seed : test_seeds::suffix_min_area) {
+        SCOPED_TRACE(seed);
+        expect_all_paths_agree(random_soc(seed, 24));
+    }
 }
 
 TEST(TimeTablesProperty, BuildPathsAndRoundTripAgreeOnWideShallow)
 {
     expect_all_paths_agree(
         generate_soc(scaled_benchmark_config("wide", 300, ScaledShape::wide_shallow)));
+}
+
+TEST(TimeTablesProperty, MinAreaFromScansPastAMinimumAboveWidthOne)
+{
+    // Areas 100, 20, 30: the minimum sits at width 2, so a query from
+    // width 3 must scan instead of answering from the stored minimum.
+    const Soc soc("one", {Module("m", 1, 1, 0, 5, {6, 6})});
+    const SocTimeTables tables(soc, {3}, [](int, CycleCount* times) {
+        times[0] = 100;
+        times[1] = 10;
+        times[2] = 10;
+    });
+    EXPECT_EQ(tables.total_min_area(), 20);
+    EXPECT_EQ(tables.table(0).min_area(), 20);
+    const CycleCount expected[] = {20, 20, 30, 30, 30};
+    for (WireCount w = 1; w <= 5; ++w) {
+        EXPECT_EQ(tables.min_area_from(0, w), expected[w - 1]) << "w " << w;
+        EXPECT_EQ(tables.table(0).min_area_from(w), expected[w - 1]) << "w " << w;
+    }
+    expect_min_area_from_matches_brute_force(tables);
 }
 
 /// A one-module blob with times 100, 50 and the given used widths.
