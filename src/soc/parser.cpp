@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
+#include <istream>
 #include <string_view>
 #include <vector>
 
@@ -221,9 +220,30 @@ Soc parse_soc_text(std::string_view text, std::string_view origin)
 
 Soc parse_soc(std::istream& in, std::string_view origin)
 {
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parse_soc_text(text.str(), origin);
+    // Read to the end of the stream, with no size lookup as a
+    // precondition, so pipes and character devices load like files. A
+    // regular file's buffer reports its remaining size as available, so
+    // the first read (one byte past it, to meet the end) usually takes
+    // the whole file; anything else reads on in doubling chunks.
+    const std::streamsize available = in.rdbuf() != nullptr ? in.rdbuf()->in_avail() : 0;
+    std::size_t chunk = static_cast<std::size_t>(std::max<std::streamsize>(available, 0)) + 1;
+    std::string text;
+    std::size_t length = 0;
+    while (in) {
+        text.resize(length + chunk);
+        in.read(text.data() + length, static_cast<std::streamsize>(chunk));
+        length += static_cast<std::size_t>(in.gcount());
+        chunk = std::max(text.size(), std::size_t{64} << 10);
+    }
+    // Only a read that met the end of the stream sets eofbit. A read
+    // error (a directory opens like a file but cannot be read) sets
+    // badbit instead, and must not reach the parser as empty or cut-off
+    // text.
+    if (!in.eof()) {
+        throw ParseError(origin, 0, "cannot read file");
+    }
+    text.resize(length);
+    return parse_soc_text(text, origin);
 }
 
 Soc parse_soc_string(const std::string& text, std::string_view origin)
@@ -237,20 +257,7 @@ Soc load_soc_file(const std::string& path)
     if (!file) {
         throw ParseError(path, 0, "cannot open file");
     }
-    // One read sized to the file. A directory opens like a file but has
-    // no size and cannot be read; either failure must not reach the
-    // parser as empty text.
-    std::error_code error;
-    const std::uintmax_t size = std::filesystem::file_size(path, error);
-    std::string text;
-    if (!error) {
-        text.resize(static_cast<std::size_t>(size));
-        file.read(text.data(), static_cast<std::streamsize>(size));
-    }
-    if (error || !file || static_cast<std::uintmax_t>(file.gcount()) != size) {
-        throw ParseError(path, 0, "cannot read file");
-    }
-    return parse_soc_text(text, path);
+    return parse_soc(file, path);
 }
 
 } // namespace mst

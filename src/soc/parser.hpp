@@ -27,16 +27,18 @@
 
 namespace mst {
 
-/// Parse a .soc description from a stream. `origin` is used in error
-/// messages only. Throws ParseError on malformed input and
-/// ValidationError on semantically invalid data.
+/// Parse a .soc description from a stream, read to its end. `origin` is
+/// used in error messages only. Throws ParseError if the stream fails
+/// before its end or on malformed input, and ValidationError on
+/// semantically invalid data.
 [[nodiscard]] Soc parse_soc(std::istream& in, std::string_view origin = "<stream>");
 
 /// Parse a .soc description held in a string.
 [[nodiscard]] Soc parse_soc_string(const std::string& text, std::string_view origin = "<string>");
 
-/// Load a .soc file from disk. Throws ParseError if the path cannot be
-/// opened or read as a regular file, or the file is malformed.
+/// Load a .soc file from disk (or any readable path: a pipe loads like
+/// a file). Throws ParseError if the path cannot be opened or read, or
+/// the file is malformed.
 [[nodiscard]] Soc load_soc_file(const std::string& path);
 
 } // namespace mst

@@ -116,8 +116,7 @@ void build_staircase(const Module& module, TableBuild build, CycleCount* times,
 
 /// Minimum area w * time(w) over the widths from entry `index` on of a
 /// finalized slice whose overall minimum area is `min_area`. Entry 0
-/// answers from `min_area`; a later entry scans the rest of the slice,
-/// stopping early once it meets `min_area`.
+/// answers from `min_area`; a later entry scans the rest of the slice.
 [[nodiscard]] inline CycleCount staircase_min_area_from(const CycleCount* times, std::size_t count,
                                                         CycleCount min_area,
                                                         std::size_t index) noexcept
@@ -127,7 +126,7 @@ void build_staircase(const Module& module, TableBuild build, CycleCount* times,
     }
     // Finalize checked every area against the cycle range.
     CycleCount best = static_cast<CycleCount>(index + 1) * times[index];
-    for (std::size_t i = index + 1; i < count && best != min_area; ++i) {
+    for (std::size_t i = index + 1; i < count; ++i) {
         best = std::min(best, static_cast<CycleCount>(i + 1) * times[i]);
     }
     return best;

@@ -2,8 +2,12 @@
 // property parse(write(soc)) == soc.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <thread>
 
 #include "common/error.hpp"
 #include "soc/d695.hpp"
@@ -272,6 +276,26 @@ TEST(SocLoader, MissingFileThrows)
     EXPECT_THROW((void)load_soc_file("/nonexistent/dir/foo.soc"), ParseError);
 }
 
+TEST(SocParser, StreamReadsToItsEnd)
+{
+    std::istringstream in(minimal_soc);
+    EXPECT_EQ(parse_soc(in).module_count(), 2);
+}
+
+TEST(SocParser, FailedStreamIsUnreadable)
+{
+    // A stream that stops before its end is an error, never empty text.
+    std::istringstream in(minimal_soc);
+    in.setstate(std::ios::failbit);
+    try {
+        (void)parse_soc(in, "failed");
+        ADD_FAILURE() << "a failed stream parsed";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), 0);
+        EXPECT_NE(std::string(e.what()).find("cannot read file"), std::string::npos) << e.what();
+    }
+}
+
 /// The message of the ParseError `load_soc_file(path)` throws.
 std::string load_error(const std::string& path)
 {
@@ -290,6 +314,27 @@ TEST(SocLoader, DirectoryIsAnUnreadableFile)
 {
     const std::string message = load_error(testing::TempDir());
     EXPECT_NE(message.find("cannot read file"), std::string::npos) << message;
+}
+
+TEST(SocLoader, NamedPipeLoadsLikeAFile)
+{
+    // A pipe has no size to look up; it must read to its end, here
+    // across more than one 64 KiB chunk.
+    std::string text = "soc piped\n";
+    for (int m = 0; m < 3000; ++m) {
+        text += "module m" + std::to_string(m) + " inputs 4 outputs 4 patterns 9 scan 12 11\n";
+    }
+    text += "end\n";
+    ASSERT_GT(text.size(), std::size_t{64} << 10);
+    const std::string path = testing::TempDir() + "/mst_pipe.soc";
+    std::remove(path.c_str());
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    std::thread writer([&] { std::ofstream(path) << text; });
+    const Soc soc = load_soc_file(path);
+    writer.join();
+    EXPECT_EQ(soc.name(), "piped");
+    EXPECT_EQ(soc.module_count(), 3000);
+    std::remove(path.c_str());
 }
 
 TEST(SocLoader, EmptyFileIsMissingItsSocStatement)
